@@ -22,16 +22,11 @@ from .evaluator import (
     evaluate,
     evaluate_naive,
     find_min_model,
-    format_witness,
     witness_tables,
 )
 from .fixtures import (
     ceitin_e10,
-    ceitin_e10_clauses,
-    ceitin_e10_prefix,
     ceitin_h12,
-    ceitin_h12_clauses,
-    ceitin_h12_prefix,
     ceitin_h12_with_query,
     ceitin_presentation,
     ehrenfeucht_finiteness,
@@ -39,15 +34,6 @@ from .fixtures import (
     infinity_sentence,
 )
 from .oracle import Witness, apply_word, check_witness, find_witness
-from .reducer import (
-    PlanRow,
-    RowPlan,
-    equation_constraint,
-    plan_rows,
-    same_letter_constraint,
-    separation_clauses,
-    separation_constraint,
-)
 from .reducer import compile as compile_instance
 from .syntax import (
     FALSE,
@@ -56,7 +42,6 @@ from .syntax import (
     Branch,
     ConstFalse,
     ConstTrue,
-    Diagnostic,
     EqualAtom,
     Exists,
     ForAll,
@@ -74,23 +59,19 @@ from .syntax import (
     disjoin,
     equal,
     free_variables,
-    map_variables,
     mk_prefix,
     not_equal,
-    prefix_diagnostics,
     validate,
 )
 from .text import (
     ParseError,
-    SourceSpan,
-    format_equation,
     format_formula,
     format_presentation,
     parse_equation,
     parse_formula,
     parse_presentation,
 )
-from .words import Equation, Presentation, check_word
+from .words import Equation, Presentation
 
 __version__ = "0.1.0"
 
@@ -102,14 +83,9 @@ __all__ = [
     "evaluate",
     "evaluate_naive",
     "find_min_model",
-    "format_witness",
     "witness_tables",
     "ceitin_e10",
-    "ceitin_e10_clauses",
-    "ceitin_e10_prefix",
     "ceitin_h12",
-    "ceitin_h12_clauses",
-    "ceitin_h12_prefix",
     "ceitin_h12_with_query",
     "ceitin_presentation",
     "ehrenfeucht_finiteness",
@@ -119,13 +95,6 @@ __all__ = [
     "apply_word",
     "check_witness",
     "find_witness",
-    "PlanRow",
-    "RowPlan",
-    "equation_constraint",
-    "plan_rows",
-    "same_letter_constraint",
-    "separation_clauses",
-    "separation_constraint",
     "compile_instance",
     "FALSE",
     "TRUE",
@@ -133,7 +102,6 @@ __all__ = [
     "Branch",
     "ConstFalse",
     "ConstTrue",
-    "Diagnostic",
     "EqualAtom",
     "Exists",
     "ForAll",
@@ -151,14 +119,10 @@ __all__ = [
     "disjoin",
     "equal",
     "free_variables",
-    "map_variables",
     "mk_prefix",
     "not_equal",
-    "prefix_diagnostics",
     "validate",
     "ParseError",
-    "SourceSpan",
-    "format_equation",
     "format_formula",
     "format_presentation",
     "parse_equation",
@@ -166,6 +130,5 @@ __all__ = [
     "parse_presentation",
     "Equation",
     "Presentation",
-    "check_word",
     "__version__",
 ]

@@ -159,23 +159,25 @@ def _drop_separation(sentence: Exists) -> Exists:
 def _cmd_eval(args: argparse.Namespace) -> int:
     f = parse_formula(_read_formula_text(args))
     _positive(args.size, "--size")
-    engine = evaluate_naive if args.naive else evaluate
+    tables = None
     try:
-        result = engine(f, args.size, budget=Budget(args.budget))
+        if args.naive:
+            result = evaluate_naive(f, args.size, budget=Budget(args.budget))
+            if result and args.show_witness:
+                tables = witness_tables(f, args.size, budget=Budget(args.budget))
+        elif args.show_witness:
+            tables = witness_tables(f, args.size, budget=Budget(args.budget))
+            result = tables is not None
+        else:
+            result = evaluate(f, args.size, budget=Budget(args.budget))
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     print("true" if result else "false")
     if result and args.show_witness:
-        try:
-            tables = witness_tables(f, args.size, budget=Budget(args.budget))
-        except BudgetExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        if tables:
-            for table in tables:
-                print(table.format())
-        else:
+        for table in tables:
+            print(table.format())
+        if not tables:
             print("witness: (no outer existential spine to tabulate)")
     return EXIT_TRUE if result else EXIT_FALSE
 
@@ -198,8 +200,7 @@ def _cmd_sat(args: argparse.Namespace) -> int:
 def _cmd_compile(args: argparse.Namespace) -> int:
     presentation, query = _load_instance(args)
     sentence = reducer.compile(presentation, query)
-    plan = reducer.plan_rows(presentation, query)
-    print(f"# rows: {plan.n}")
+    print(f"# rows: {len(sentence.body.prefix.universals)}")
     print(format_formula(sentence))
     return EXIT_TRUE
 

@@ -25,10 +25,15 @@ time, checking the matrix on every universal tuple.  Its cost explodes
 quickly; it exists so the two engines can cross-check each other on
 small instances.
 
+``witness_tables`` runs the same compile and the same search as
+``evaluate`` and reads its certificate off that one search: the values of
+the outer ``exists`` spine stay in their slots when the search succeeds,
+and every successful branch search records its tables on the compile
+context, the last one being the branched prefix at the end of the spine.
+Its verdict and its budget spend are therefore exactly ``evaluate``'s.
+
 Both engines charge their search steps against a ``Budget`` and raise
-``BudgetExceeded`` rather than run away.  Results are deterministic, and
-the first table assignment found is the one reported by
-``witness_tables``.
+``BudgetExceeded`` rather than run away.  Results are deterministic.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ __all__ = [
     "evaluate_naive",
     "find_min_model",
     "witness_tables",
-    "format_witness",
 ]
 
 
@@ -80,17 +84,15 @@ class SkolemTable:
         return f"{self.owner}: {cells}"
 
 
-def format_witness(tables: list[SkolemTable]) -> str:
-    return "\n".join(t.format() for t in tables)
-
-
 class _Ctx:
-    __slots__ = ("m", "budget", "nslots")
+    __slots__ = ("m", "budget", "nslots", "found")
 
     def __init__(self, m: int, budget: Budget):
         self.m = m
         self.budget = budget
         self.nslots = 0
+        # (program, tables) of the last branch search that succeeded.
+        self.found = None
 
     def alloc(self) -> int:
         slot = self.nslots
@@ -181,7 +183,11 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
         prog = _compile_branch(node, scope, ctx)
 
         def run_branch(env, _prog=prog, _ctx=ctx):
-            return _branch_search(_prog, env, _ctx) is not None
+            tables = _branch_search(_prog, env, _ctx)
+            if tables is None:
+                return False
+            _ctx.found = (_prog, tables)
+            return True
 
         return run_branch
     raise TypeError(f"not a formula: {node!r}")
@@ -404,14 +410,10 @@ def _prepare(f: Formula, size: int, env) -> dict[str, int]:
     return bound
 
 
-def evaluate(f: Formula, size: int, env=None, budget: Budget | None = None) -> bool:
-    """Decide truth on the domain {0, ..., size-1} with the search engine.
-
-    ``env`` binds free variables (by Variable or name) to domain values.
-    """
+def _search(f: Formula, size: int, env, budget: Budget | None):
+    """Compile ``f`` and run the search once: (verdict, slot env, context)."""
     bound = _prepare(f, size, env)
-    budget = budget if budget is not None else Budget()
-    ctx = _Ctx(size, budget)
+    ctx = _Ctx(size, budget if budget is not None else Budget())
     scope: dict[str, int] = {}
     init = []
     for name in sorted(bound):
@@ -422,7 +424,15 @@ def evaluate(f: Formula, size: int, env=None, budget: Budget | None = None) -> b
     slots_env = [0] * ctx.nslots
     for slot, val in init:
         slots_env[slot] = val
-    return fn(slots_env)
+    return fn(slots_env), slots_env, ctx
+
+
+def evaluate(f: Formula, size: int, env=None, budget: Budget | None = None) -> bool:
+    """Decide truth on the domain {0, ..., size-1} with the search engine.
+
+    ``env`` binds free variables (by Variable or name) to domain values.
+    """
+    return _search(f, size, env, budget)[0]
 
 
 def evaluate_naive(f: Formula, size: int, env=None, budget: Budget | None = None) -> bool:
@@ -450,66 +460,32 @@ def find_min_model(f: Formula, max_size: int, budget: Budget | None = None) -> i
     return None
 
 
-def _branch_witness(node: Branch, bound: dict[str, int], size: int, budget: Budget):
-    ctx = _Ctx(size, budget)
-    scope: dict[str, int] = {}
-    init = []
-    for name in sorted(bound):
-        slot = ctx.alloc()
-        scope[name] = slot
-        init.append((slot, bound[name]))
-    prog = _compile_branch(node, scope, ctx)
-    env = [0] * ctx.nslots
-    for slot, val in init:
-        env[slot] = val
-    tables = _branch_search(prog, env, ctx)
-    if tables is None:
-        return None
-    out = []
-    for name, arity, tab in zip(prog.names, prog.arities, tables):
-        entries = []
-        for key, val in tab.items():
-            if not isinstance(key, tuple):
-                key = (key,)
-            entries.append((key, val))
-        entries.sort()
-        out.append(SkolemTable(name, arity, tuple(entries)))
-    return out
-
-
 def witness_tables(f: Formula, size: int, budget: Budget | None = None):
     """Choice tables witnessing a true sentence, or None if it is false.
 
-    Walks the outermost spine of existential blocks (reported as arity-0
-    tables) down to an optional branched prefix, whose tables are found by
-    the search engine.  Quantifiers past the spine are not tabulated.
+    Reports the outermost spine of existential blocks as arity-0 tables,
+    then the tables of an optional branched prefix right below it, both as
+    found by the one search that decides ``f``.  Quantifiers past the
+    spine are not tabulated.
     """
-    _prepare(f, size, None)
-    budget = budget if budget is not None else Budget()
-    env: dict[str, int] = {}
+    verdict, env, ctx = _search(f, size, None, budget)
+    if not verdict:
+        return None
     out: list[SkolemTable] = []
+    # A sentence binds nothing free, so the spine's binders own the first
+    # slots, in order.
+    slot = 0
     node = f
     while isinstance(node, Exists):
-        vs = node.variables
-        for j, v in enumerate(vs):
-            rest = Exists(vs[j + 1 :], node.body) if j + 1 < len(vs) else node.body
-            found = None
-            for val in range(size):
-                env[v.name] = val
-                if evaluate(rest, size, env=env, budget=budget):
-                    found = val
-                    break
-            if found is None:
-                return None
-            env[v.name] = found
-            out.append(SkolemTable(v.name, 0, (((), found),)))
+        for v in node.variables:
+            out.append(SkolemTable(v.name, 0, (((), env[slot]),)))
+            slot += 1
         node = node.body
     if isinstance(node, Branch):
-        tabs = _branch_witness(node, env, size, budget)
-        if tabs is None:
-            return None
-        out.extend(tabs)
-        return out
-    if evaluate(node, size, env=env, budget=budget):
-        return out
-    return None
+        # Nothing runs after the spine's final branch search succeeds, and
+        # a nested branch finishes before the branch around it.
+        prog, tables = ctx.found
+        for name, arity, tab in zip(prog.names, prog.arities, tables):
+            entries = sorted(((k if isinstance(k, tuple) else (k,)), v) for k, v in tab.items())
+            out.append(SkolemTable(name, arity, tuple(entries)))
+    return out

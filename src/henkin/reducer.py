@@ -44,7 +44,6 @@ __all__ = [
     "RowPlan",
     "plan_rows",
     "same_letter_constraint",
-    "equation_constraint",
     "separation_clauses",
     "separation_constraint",
     "compile",
@@ -56,7 +55,6 @@ class PlanRow:
     universal: Variable
     existential: Variable
     letter: str
-    origin: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,12 +82,6 @@ class RowPlan:
         start = self.rhs_offsets[i]
         return self.rows[start : start + len(self.equations[i].rhs)]
 
-    def designated(self, letter: str) -> PlanRow:
-        for row in self.rows[self.qstart :]:
-            if row.letter == letter:
-                return row
-        raise KeyError(f"no designated row for letter {letter!r}")
-
 
 def plan_rows(presentation: Presentation, query: Equation) -> RowPlan:
     rows: list[PlanRow] = []
@@ -98,33 +90,17 @@ def plan_rows(presentation: Presentation, query: Equation) -> RowPlan:
     for i, eq in enumerate(presentation.equations, start=1):
         lhs_offsets.append(len(rows))
         for j, ch in enumerate(eq.lhs, start=1):
-            rows.append(
-                PlanRow(
-                    Variable(f"x{i}_{j}"),
-                    Variable(f"y{i}_{j}"),
-                    ch,
-                    f"equation {i} left position {j}",
-                )
-            )
+            rows.append(PlanRow(Variable(f"x{i}_{j}"), Variable(f"y{i}_{j}"), ch))
         rhs_offsets.append(len(rows))
         for j, ch in enumerate(eq.rhs, start=1):
-            rows.append(
-                PlanRow(
-                    Variable(f"z{i}_{j}"),
-                    Variable(f"r{i}_{j}"),
-                    ch,
-                    f"equation {i} right position {j}",
-                )
-            )
+            rows.append(PlanRow(Variable(f"z{i}_{j}"), Variable(f"r{i}_{j}"), ch))
     qstart = len(rows)
     seen: list[str] = []
     for ch in query.lhs + query.rhs:
         if ch not in seen:
             seen.append(ch)
     for ch in seen:
-        rows.append(
-            PlanRow(Variable(f"u_{ch}"), Variable(f"e_{ch}"), ch, f"query letter {ch}")
-        )
+        rows.append(PlanRow(Variable(f"u_{ch}"), Variable(f"e_{ch}"), ch))
     t_vars = tuple(Variable(f"t{j}") for j in range(len(query.lhs) + 1))
     s_vars = tuple(Variable(f"s{j}") for j in range(len(query.rhs) + 1))
     return RowPlan(
@@ -160,6 +136,7 @@ def same_letter_constraint(plan: RowPlan) -> Formula:
 
 
 def _equation_constraint_at(plan: RowPlan, i: int) -> Formula:
+    """The constraint forcing equation i of the plan to hold on its own rows."""
     eq = plan.equations[i]
     lhs = plan.lhs_rows(i)
     rhs = plan.rhs_rows(i)
@@ -175,18 +152,6 @@ def _equation_constraint_at(plan: RowPlan, i: int) -> Formula:
     if not chain:
         return inner
     return Implies(conjoin(chain), inner)
-
-
-def equation_constraint(eq: Equation, plan: RowPlan) -> Formula:
-    """The constraint forcing one equation of the plan to hold.
-
-    When the plan lists the same equation more than once, this returns the
-    constraint for its first occurrence.
-    """
-    for i, candidate in enumerate(plan.equations):
-        if candidate == eq:
-            return _equation_constraint_at(plan, i)
-    raise KeyError(f"equation '{eq}' is not in the plan")
 
 
 def separation_clauses(

@@ -51,7 +51,6 @@ __all__ = [
     "disjoin",
     "free_variables",
     "validate",
-    "map_variables",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
@@ -122,9 +121,6 @@ class HenkinPrefix:
         object.__setattr__(self, "universals", _as_variables(self.universals))
         object.__setattr__(self, "existentials", _as_variables(self.existentials))
         object.__setattr__(self, "deps", tuple(_as_variables(d) for d in self.deps))
-
-    def dep_map(self) -> dict[Variable, tuple[Variable, ...]]:
-        return dict(zip(self.existentials, self.deps))
 
     def bound(self) -> tuple[Variable, ...]:
         return self.universals + self.existentials
@@ -459,36 +455,3 @@ def validate(f: Formula) -> list[Diagnostic]:
     walk(f, frozenset())
     return diags
 
-
-def map_variables(f: Formula, fn) -> Formula:
-    """Rewrite every variable occurrence, binder, and dependency with ``fn``.
-
-    ``fn`` must be injective on the names appearing in ``f`` for the result
-    to be a faithful renaming.
-    """
-    if isinstance(f, EqualAtom):
-        return EqualAtom(fn(f.left), fn(f.right))
-    if isinstance(f, (ConstTrue, ConstFalse)):
-        return f
-    if isinstance(f, Not):
-        return Not(map_variables(f.body, fn))
-    if isinstance(f, And):
-        return And(tuple(map_variables(g, fn) for g in f.items))
-    if isinstance(f, Or):
-        return Or(tuple(map_variables(g, fn) for g in f.items))
-    if isinstance(f, Implies):
-        return Implies(map_variables(f.antecedent, fn), map_variables(f.consequent, fn))
-    if isinstance(f, Iff):
-        return Iff(map_variables(f.left, fn), map_variables(f.right, fn))
-    if isinstance(f, ForAll):
-        return ForAll(tuple(fn(v) for v in f.variables), map_variables(f.body, fn))
-    if isinstance(f, Exists):
-        return Exists(tuple(fn(v) for v in f.variables), map_variables(f.body, fn))
-    if isinstance(f, Branch):
-        prefix = HenkinPrefix(
-            tuple(fn(v) for v in f.prefix.universals),
-            tuple(fn(v) for v in f.prefix.existentials),
-            tuple(tuple(fn(d) for d in ds) for ds in f.prefix.deps),
-        )
-        return Branch(prefix, map_variables(f.body, fn))
-    raise TypeError(f"not a formula: {f!r}")

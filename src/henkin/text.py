@@ -20,6 +20,12 @@ a comment running to end of line.  ``forall``, ``exists``, ``true`` and
 ``false`` are reserved words; ``H`` is special only when a ``{`` follows.
 Input must be ASCII.
 
+Nesting is bounded: every ``~``, parenthesis, quantifier or branched
+prefix body, and right operand of ``->`` or ``<->`` opens one level, and
+a formula more than ``MAX_DEPTH`` levels deep is a ``ParseError``.  So
+parsing, printing and both engines stay within Python's default
+recursion limit.
+
 Presentations use a separate line-oriented format: one ``word = word``
 equation per line, with the same comment convention.
 """
@@ -52,6 +58,7 @@ from .syntax import (
 from .words import Equation, Presentation
 
 __all__ = [
+    "MAX_DEPTH",
     "SourceSpan",
     "ParseError",
     "parse_formula",
@@ -67,7 +74,6 @@ __all__ = [
 class SourceSpan:
     line: int
     column: int
-    length: int = 1
 
 
 class ParseError(ValueError):
@@ -90,13 +96,18 @@ class _Token:
 
     @property
     def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, max(1, len(self.text)))
+        return SourceSpan(self.line, self.column)
 
 
 _NAME_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 _MULTI = ("<->", "->", "!=")
 _SINGLE = frozenset("(){};,.=&|~")
 _RESERVED = frozenset({"forall", "exists", "true", "false"})
+
+# One level of parentheses costs the parser six Python frames, and printing
+# or evaluating a level costs at most three, so 100 levels leave room under
+# the default recursion limit of 1000 for the caller's own frames.
+MAX_DEPTH = 100
 
 
 def _lex(source: str) -> list[_Token]:
@@ -153,6 +164,7 @@ class _Parser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -168,6 +180,12 @@ class _Parser:
         if t.kind == "eof":
             return "end of input"
         return f"'{t.text}'"
+
+    def deeper(self, t: _Token) -> None:
+        """Open one nesting level at ``t``; the caller closes it."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"formula nested more than {MAX_DEPTH} levels deep", t.span)
+        self.depth += 1
 
     def expect(self, kind: str) -> _Token:
         t = self.peek()
@@ -202,15 +220,19 @@ class _Parser:
     def iff(self) -> Formula:
         left = self.implies()
         if self.peek().kind == "<->":
-            self.advance()
-            return Iff(left, self.iff())
+            self.deeper(self.advance())
+            right = self.iff()
+            self.depth -= 1
+            return Iff(left, right)
         return left
 
     def implies(self) -> Formula:
         left = self.disjunction()
         if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self.implies())
+            self.deeper(self.advance())
+            right = self.implies()
+            self.depth -= 1
+            return Implies(left, right)
         return left
 
     def disjunction(self) -> Formula:
@@ -230,24 +252,24 @@ class _Parser:
     def unary(self) -> Formula:
         t = self.peek()
         if t.kind == "~":
-            self.advance()
-            return Not(self.unary())
-        if t.kind == "name" and t.text == "forall":
-            self.advance()
-            vs = self.binder_list("forall")
+            self.deeper(self.advance())
+            body = self.unary()
+            self.depth -= 1
+            return Not(body)
+        if t.kind == "name" and t.text in ("forall", "exists"):
+            self.deeper(self.advance())
+            vs = self.binder_list(t.text)
             self.expect(".")
-            return ForAll(vs, self.iff())
-        if t.kind == "name" and t.text == "exists":
-            self.advance()
-            vs = self.binder_list("exists")
-            self.expect(".")
-            return Exists(vs, self.iff())
+            body = self.iff()
+            self.depth -= 1
+            return ForAll(vs, body) if t.text == "forall" else Exists(vs, body)
         if t.kind == "name" and t.text == "H" and self.peek(1).kind == "{":
             return self.branch()
         return self.atom()
 
     def branch(self) -> Formula:
         opener = self.advance()  # the 'H'
+        self.deeper(opener)
         self.expect("{")
         kw = self.peek()
         if not (kw.kind == "name" and kw.text == "forall"):
@@ -284,14 +306,17 @@ class _Parser:
                 opener.span,
             ) from exc
         self.expect(".")
-        return Branch(prefix, self.iff())
+        body = self.iff()
+        self.depth -= 1
+        return Branch(prefix, body)
 
     def atom(self) -> Formula:
         t = self.peek()
         if t.kind == "(":
-            self.advance()
+            self.deeper(self.advance())
             f = self.iff()
             self.expect(")")
+            self.depth -= 1
             return f
         if t.kind == "name":
             if t.text == "true":
@@ -393,7 +418,7 @@ def parse_equation_line(line: str, lineno: int = 1) -> Equation:
     bare = line.split("#", 1)[0]
     if "=" not in bare:
         col = len(bare) - len(bare.lstrip()) + 1
-        raise ParseError("expected 'word = word'", SourceSpan(lineno, col, max(1, len(bare.strip()))))
+        raise ParseError("expected 'word = word'", SourceSpan(lineno, col))
     lhs_part, _, rhs_part = bare.partition("=")
     eq_col = len(lhs_part) + 1
     lhs = _word(lhs_part, lineno, 1, "left side", eq_col)

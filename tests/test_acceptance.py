@@ -20,11 +20,7 @@ from henkin import (
     build_en,
     build_hn,
     ceitin_e10,
-    ceitin_e10_clauses,
-    ceitin_e10_prefix,
     ceitin_h12,
-    ceitin_h12_clauses,
-    ceitin_h12_prefix,
     compile_instance,
     ehrenfeucht_finiteness,
     evaluate,
@@ -34,10 +30,15 @@ from henkin import (
     infinity_sentence,
     mk_prefix,
     parse_formula,
-    plan_rows,
-    same_letter_constraint,
 )
 from henkin.cli import main as cli_main
+from henkin.fixtures import (
+    ceitin_e10_clauses,
+    ceitin_e10_prefix,
+    ceitin_h12_clauses,
+    ceitin_h12_prefix,
+)
+from henkin.reducer import plan_rows, same_letter_constraint
 
 from _corpus import CROSSCHECK_INSTANCES, agreement_corpus, all_suite_formulas, collapse_cases
 

@@ -2,7 +2,17 @@ import io
 
 import pytest
 
-from henkin import Equation, Presentation, ceitin_h12, compile_instance, parse_formula
+from henkin import (
+    Budget,
+    Equation,
+    Presentation,
+    ceitin_h12,
+    compile_instance,
+    evaluate,
+    format_formula,
+    parse_formula,
+    witness_tables,
+)
 from henkin.cli import main
 
 CANON_TEXT = "aa = a\nbb = b\n"
@@ -52,6 +62,18 @@ class TestEval:
         out = capsys.readouterr().out.splitlines()
         assert out == ["true", "witness: (no outer existential spine to tabulate)"]
 
+    def test_show_witness_fits_the_budget_of_one_search(self, capsys):
+        f = compile_instance(
+            Presentation.of([Equation("aa", "a"), Equation("bb", "b")]), Equation("ab", "ba")
+        )
+        budget = Budget()
+        assert evaluate(f, 2, budget=budget)
+        argv = ["eval", "--show-witness", "--expr", format_formula(f), "--size", "2", "--budget"]
+        assert main(argv + [str(budget.spent)]) == 0
+        tables = [t.format() for t in witness_tables(f, 2)]
+        assert capsys.readouterr().out.splitlines() == ["true"] + tables
+        assert main(argv + [str(budget.spent - 1)]) == 4
+
     def test_budget_exhausted(self, capsys):
         code = main(["eval", "--expr", "forall a b c . a = a", "--size", "3", "--budget", "5"])
         assert code == 4
@@ -77,6 +99,44 @@ class TestEval:
         src.write_text("true", encoding="ascii")
         assert main(["eval", str(src), "--expr", "true", "--size", "2"]) == 2
         assert "not both" in capsys.readouterr().err
+
+
+DEEP_INPUTS = {
+    "not": "~" * 3000 + "true",
+    "parens": "(" * 2000 + "true" + ")" * 2000,
+    "implies": "true -> " * 3000 + "true",
+    "forall": "forall x . " * 1500 + "x = x",
+}
+
+
+@pytest.mark.parametrize("text", DEEP_INPUTS.values(), ids=DEEP_INPUTS.keys())
+def test_deep_formula_is_a_usage_error(capsys, text):
+    assert main(["eval", "--expr", text, "--size", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1:") and "levels deep" in err
+    assert "Traceback" not in err
+
+
+class TestRepeatedCalls:
+    def test_calls_leave_no_trace_on_later_calls(self, capsys, canon_file):
+        calls = [
+            (["eval", "--naive", "--show-witness", "--budget", "5",
+              "--expr", "exists t . t = t", "--size", "2"], 0, "true\nt: ()->0\n"),
+            (["eval", "--expr", "true"], 2, ""),
+            # Would run out of a leaked --budget 5, or print a leaked witness.
+            (["eval", "--expr", "forall a b c . a = a", "--size", "3"], 0, "true\n"),
+            (["sat", "--expr", "true", "--max-size", "x"], 2, ""),
+            (["sat", "--expr", "exists a b . a != b", "--max-size", "3"], 0, "2\n"),
+            (["nonesuch"], 2, ""),
+            (["compile", "--presentation", canon_file, "--query", "ab ="], 2, ""),
+            (["fixture", "nonesuch"], 2, ""),
+            (["oracle", "--presentation", canon_file, "--query", "ab = ba", "--max-size", "1"],
+             1, "none up to 1\n"),
+        ]
+        for _ in range(2):
+            for argv, code, out in calls:
+                assert main(argv) == code, argv
+                assert capsys.readouterr().out == out, argv
 
 
 class TestSat:

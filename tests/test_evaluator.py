@@ -11,10 +11,11 @@ from henkin import (
     evaluate,
     evaluate_naive,
     find_min_model,
-    format_witness,
     parse_formula,
     witness_tables,
 )
+
+from _corpus import agreement_corpus
 
 P = parse_formula
 
@@ -138,7 +139,7 @@ class TestWitness:
     def test_spine_only(self):
         tabs = witness_tables(P("exists t . t = t"), 3)
         assert tabs == [SkolemTable("t", 0, (((), 0),))]
-        assert format_witness(tabs) == "t: ()->0"
+        assert tabs[0].format() == "t: ()->0"
 
     def test_spine_picks_first_workable_value(self):
         tabs = witness_tables(P("exists t u . t != u"), 3)
@@ -147,7 +148,7 @@ class TestWitness:
     def test_branch_tables(self):
         tabs = witness_tables(P("H{ forall x ; y(x) } . y = x"), 2)
         assert tabs == [SkolemTable("y", 1, (((0,), 0), ((1,), 1)))]
-        assert format_witness(tabs) == "y: (0)->0 (1)->1"
+        assert tabs[0].format() == "y: (0)->0 (1)->1"
 
     def test_spine_then_branch(self):
         f = P("exists t . H{ forall x z ; y(x), w(z) } . y = w & t = t")
@@ -170,6 +171,16 @@ class TestWitness:
     def test_deterministic(self):
         f = P("H{ forall x z ; y(x), w(z) } . (y = w <-> x = z)")
         assert witness_tables(f, 3) == witness_tables(f, 3)
+
+    def test_one_search_decides_and_witnesses(self):
+        # witness_tables reads the search evaluate runs: same verdict, same cost.
+        for name, f in agreement_corpus():
+            for m in (1, 2):
+                decided, witnessed = Budget(), Budget()
+                verdict = evaluate(f, m, budget=decided)
+                tables = witness_tables(f, m, budget=witnessed)
+                assert (tables is None) == (not verdict), (name, m)
+                assert witnessed.spent == decided.spent, (name, m)
 
     def test_table_format_arities(self):
         t = SkolemTable("y", 2, (((0, 0), 1), ((0, 1), 2)))

@@ -9,11 +9,7 @@ from henkin import (
     Implies,
     Not,
     ceitin_e10,
-    ceitin_e10_clauses,
-    ceitin_e10_prefix,
     ceitin_h12,
-    ceitin_h12_clauses,
-    ceitin_h12_prefix,
     ceitin_h12_with_query,
     ceitin_presentation,
     ehrenfeucht_finiteness,
@@ -25,6 +21,12 @@ from henkin import (
     infinity_sentence,
     not_equal,
     validate,
+)
+from henkin.fixtures import (
+    ceitin_e10_clauses,
+    ceitin_e10_prefix,
+    ceitin_h12_clauses,
+    ceitin_h12_prefix,
 )
 
 

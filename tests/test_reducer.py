@@ -1,5 +1,3 @@
-import pytest
-
 from henkin import (
     And,
     Branch,
@@ -11,13 +9,14 @@ from henkin import (
     Not,
     Presentation,
     compile_instance,
-    equation_constraint,
     evaluate,
+    validate,
+)
+from henkin.reducer import (
     plan_rows,
     same_letter_constraint,
     separation_clauses,
     separation_constraint,
-    validate,
 )
 
 
@@ -54,23 +53,28 @@ class TestPlan:
         assert [r.letter for r in right] == ["c", "a"]
 
     def test_origins(self):
+        # A row's names say where it comes from: equation i's left (x, y) or
+        # right (z, r) word at position j, or a query letter (u, e).
         plan = plan_rows(CANON, CANON_QUERY)
-        assert plan.lhs_rows(0)[0].origin == "equation 1 left position 1"
-        assert plan.rhs_rows(1)[0].origin == "equation 2 right position 1"
-        assert plan.rows[-1].origin in ("query letter a", "query letter b")
+        assert plan.lhs_rows(0)[0].universal.name == "x1_1"
+        assert plan.rhs_rows(1)[0].existential.name == "r2_1"
+        assert plan.rows[-1].universal.name in ("u_a", "u_b")
 
     def test_designated_rows_follow_first_occurrence(self):
         ab = plan_rows(Presentation.of([]), Equation("ab", "ba"))
         assert [r.letter for r in ab.rows[ab.qstart :]] == ["a", "b"]
         ba = plan_rows(Presentation.of([]), Equation("ba", "ab"))
         assert [r.letter for r in ba.rows[ba.qstart :]] == ["b", "a"]
-        assert ba.designated("a").universal.name == "u_a"
-        assert ba.designated("a").existential.name == "e_a"
+        assert [(r.universal.name, r.existential.name) for r in ba.rows[ba.qstart :]] == [
+            ("u_b", "e_b"),
+            ("u_a", "e_a"),
+        ]
 
     def test_designated_missing_letter(self):
-        plan = plan_rows(CANON, CANON_QUERY)
-        with pytest.raises(KeyError):
-            plan.designated("z")
+        # A letter of the presentation that the query does not use gets no
+        # designated row.
+        plan = plan_rows(Presentation.of([Equation("cc", "c")]), Equation("a", "b"))
+        assert [r.letter for r in plan.rows[plan.qstart :]] == ["a", "b"]
 
     def test_spine_lengths_follow_query(self):
         plan = plan_rows(CANON, CANON_QUERY)
@@ -101,18 +105,32 @@ class TestSameLetter:
         assert isinstance(first.consequent, EqualAtom)
 
 
+def equation_clauses(presentation: Presentation, query: Equation):
+    """The compiled sentence's equation clauses, in presentation order."""
+    matrix = compile_instance(presentation, query).body.body
+    return matrix.items[-1 - len(presentation.equations) : -1]
+
+
+def names_in(f) -> set[str]:
+    if isinstance(f, EqualAtom):
+        return {f.left.name, f.right.name}
+    if isinstance(f, And):
+        return set().union(*(names_in(g) for g in f.items))
+    if isinstance(f, Implies):
+        return names_in(f.antecedent) | names_in(f.consequent)
+    return set()
+
+
 class TestEquationConstraint:
     def test_short_equation_keeps_bare_inner(self):
-        plan = plan_rows(Presentation.of([Equation("a", "a")]), Equation("a", "a"))
-        phi = equation_constraint(Equation("a", "a"), plan)
+        (phi,) = equation_clauses(Presentation.of([Equation("a", "a")]), Equation("a", "a"))
         # one letter per side: no chaining conjuncts, inner implication bare
         assert isinstance(phi, Implies)
         assert isinstance(phi.antecedent, EqualAtom)
         assert isinstance(phi.consequent, EqualAtom)
 
     def test_two_letter_equation_has_chain(self):
-        plan = plan_rows(Presentation.of([Equation("aa", "a")]), Equation("a", "a"))
-        phi = equation_constraint(Equation("aa", "a"), plan)
+        (phi,) = equation_clauses(Presentation.of([Equation("aa", "a")]), Equation("a", "a"))
         assert isinstance(phi, Implies)
         assert isinstance(phi.antecedent, EqualAtom)  # single chain link on the left side
         inner = phi.consequent
@@ -121,36 +139,15 @@ class TestEquationConstraint:
         assert isinstance(inner.consequent, EqualAtom)
 
     def test_balanced_equation_chains_both_sides(self):
-        plan = plan_rows(Presentation.of([Equation("ab", "ba")]), Equation("a", "a"))
-        phi = equation_constraint(Equation("ab", "ba"), plan)
+        (phi,) = equation_clauses(Presentation.of([Equation("ab", "ba")]), Equation("a", "a"))
         assert isinstance(phi.antecedent, And)
         assert len(phi.antecedent.items) == 2
 
-    def test_duplicate_equations_resolve_to_first_rows(self):
+    def test_duplicate_equations_keep_their_own_rows(self):
         pres = Presentation.of([Equation("aa", "a"), Equation("aa", "a")])
-        plan = plan_rows(pres, Equation("a", "a"))
-        phi = equation_constraint(Equation("aa", "a"), plan)
-        names = set()
-
-        def walk(f):
-            if isinstance(f, EqualAtom):
-                names.add(f.left.name)
-                names.add(f.right.name)
-            elif isinstance(f, And):
-                for g in f.items:
-                    walk(g)
-            elif isinstance(f, Implies):
-                walk(f.antecedent)
-                walk(f.consequent)
-
-        walk(phi)
-        assert any(n.endswith("1_1") for n in names)
-        assert not any(n.endswith("2_1") for n in names)
-
-    def test_unknown_equation_rejected(self):
-        plan = plan_rows(CANON, CANON_QUERY)
-        with pytest.raises(KeyError, match="is not in the plan"):
-            equation_constraint(Equation("ccc", "c"), plan)
+        first, second = equation_clauses(pres, Equation("a", "a"))
+        assert names_in(first) == {"x1_1", "x1_2", "y1_1", "y1_2", "z1_1", "r1_1"}
+        assert names_in(second) == {"x2_1", "x2_2", "y2_1", "y2_2", "z2_1", "r2_1"}
 
 
 class TestSeparation:

@@ -23,12 +23,11 @@ from henkin import (
     disjoin,
     equal,
     free_variables,
-    map_variables,
     mk_prefix,
     not_equal,
-    prefix_diagnostics,
     validate,
 )
+from henkin.syntax import prefix_diagnostics
 
 
 class TestVariable:
@@ -56,7 +55,6 @@ class TestPrefix:
         assert p.universals == (Variable("x"), Variable("z"))
         assert p.existentials == (Variable("w"), Variable("y"))
         assert p.deps == ((Variable("z"), Variable("x")), (Variable("x"),))
-        assert p.dep_map()[Variable("y")] == (Variable("x"),)
         assert p.bound() == (Variable("x"), Variable("z"), Variable("w"), Variable("y"))
 
     def test_mk_prefix_collects_every_violation(self):
@@ -203,17 +201,3 @@ class TestValidate:
         f = ForAll(("y",), Branch(p, equal("y", "x")))
         diags = validate(f)
         assert [d.severity for d in diags] == ["warning"]
-
-
-class TestMapVariables:
-    def test_rename_round_trip(self):
-        p = mk_prefix(["x", "z"], ["y", "w"], {"y": ["x"], "w": ["z"]})
-        f = Exists(("t",), Branch(p, And((Iff(equal("y", "w"), equal("x", "z")), not_equal("t", "y")))))
-        fwd = lambda v: Variable("v_" + v.name)
-        back = lambda v: Variable(v.name[2:])
-        assert map_variables(map_variables(f, fwd), back) == f
-
-    def test_renames_dependencies(self):
-        p = mk_prefix(["x"], ["y"], {"y": ["x"]})
-        g = map_variables(Branch(p, equal("y", "x")), lambda v: Variable(v.name * 2))
-        assert g.prefix.deps == ((Variable("xx"),),)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from henkin import (
@@ -18,14 +20,17 @@ from henkin import (
     Variable,
     ceitin_presentation,
     equal,
-    format_equation,
+    evaluate,
+    evaluate_naive,
     format_formula,
     format_presentation,
     not_equal,
     parse_equation,
     parse_formula,
     parse_presentation,
+    validate,
 )
+from henkin.text import MAX_DEPTH, format_equation
 from _corpus import agreement_corpus
 
 
@@ -223,3 +228,42 @@ class TestPresentations:
     def test_parse_equation_rejects_empty(self):
         with pytest.raises(ParseError):
             parse_equation("   # just a comment")
+
+
+# Each shape opens one nesting level per repeat of its opener.
+NESTED = {
+    "not": ("~", lambda n: "~" * n + "true"),
+    "parens": ("(", lambda n: "(" * n + "true" + ")" * n),
+    "implies": ("->", lambda n: "true -> " * n + "true"),
+    "forall": ("forall", lambda n: "forall x . " * n + "x = x"),
+}
+
+
+@pytest.fixture
+def default_recursion_limit():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_at_the_limit_every_walk_fits(self, shape, default_recursion_limit):
+        text = NESTED[shape][1](MAX_DEPTH)
+        f = parse_formula(text)
+        assert [d for d in validate(f) if d.severity == "error"] == []
+        assert evaluate(f, 1) is True
+        assert evaluate_naive(f, 1) is True
+        assert format_formula(f) == ("true" if shape == "parens" else text)
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_one_past_the_limit_points_at_the_opener(self, shape):
+        opener, make = NESTED[shape]
+        text = make(MAX_DEPTH + 1)
+        with pytest.raises(ParseError, match=f"nested more than {MAX_DEPTH} levels deep") as info:
+            parse_formula(text)
+        at = -1
+        for _ in range(MAX_DEPTH + 1):
+            at = text.index(opener, at + 1)
+        assert (info.value.span.line, info.value.span.column) == (1, at + 1)
