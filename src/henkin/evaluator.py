@@ -18,6 +18,17 @@ filled cell, its failure is independent of every decision taken
 elsewhere, so no amount of backtracking can save the prefix and the
 search stops at once.
 
+Linear ``forall``/``exists`` blocks break value symmetry (the
+least-number rule of SEM and Mace4).  The vocabulary is empty, so any
+permutation of the domain that fixes the values already bound is an
+automorphism, and a block only needs those values plus one fresh one:
+its first variable ranges over ``0 .. M+1`` (capped at ``m-1``), where
+``M`` is the largest value bound in the block's scope (-1 if none), and
+each later variable over ``0`` to one above the largest value before it.
+Branch table cells keep the full range: their universal tuples run in
+lexicographic order, so every value is bound after the first ``m``
+tuples and the rule would prune almost nothing.
+
 ``evaluate_naive`` is a deliberately transparent reference engine.  It
 walks the tree with a name-keyed dictionary environment and, at a
 branched prefix, enumerates complete choice tables one existential at a
@@ -158,6 +169,7 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
         right = _compile(node.right, scope, ctx)
         return lambda env: left(env) == right(env)
     if isinstance(node, (ForAll, Exists)):
+        outer = tuple(scope.values())
         inner = dict(scope)
         slots = []
         for v in node.variables:
@@ -168,9 +180,10 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
         slots_t = tuple(slots)
         want = isinstance(node, Exists)
 
-        def run_block(env, _slots=slots_t, _body=body, _ctx=ctx, _want=want):
+        def run_block(env, _slots=slots_t, _outer=outer, _body=body, _ctx=ctx, _want=want):
             charge = _ctx.budget.charge
-            for combo in itertools.product(range(_ctx.m), repeat=len(_slots)):
+            top = max(map(env.__getitem__, _outer), default=-1)
+            for combo in _assignments(len(_slots), _ctx.m, top):
                 charge()
                 for s, val in zip(_slots, combo):
                     env[s] = val
@@ -191,6 +204,27 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
 
         return run_branch
     raise TypeError(f"not a formula: {node!r}")
+
+
+def _assignments(k: int, m: int, top: int):
+    """Values for a block of ``k`` variables, in lexicographic order, each at
+    most one above the largest value before it; ``top`` is the largest value
+    bound outside the block, -1 if none."""
+    vals = [0] * k
+    # highs[i] is the largest of top and vals[:i].
+    highs = [top] + [max(top, 0)] * (k - 1)
+    while True:
+        yield tuple(vals)
+        i = k - 1
+        while i >= 0 and (vals[i] > highs[i] or vals[i] == m - 1):
+            i -= 1
+        if i < 0:
+            return
+        vals[i] += 1
+        high = max(highs[i], vals[i])
+        for j in range(i + 1, k):
+            vals[j] = 0
+            highs[j] = high
 
 
 def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx) -> _BranchProgram:
@@ -224,6 +258,12 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
     Returns the per-existential tables (dicts keyed by dependency values)
     on success, None on failure.  Table keys are () for arity 0, a bare
     value for arity 1, and a tuple otherwise.
+
+    The backtracking stack holds only decision frames, those of tuples
+    that filled a new cell, each with its tuple index.  A tuple that read
+    only filled cells had one candidate, already tried, so backtracking
+    passes it by without a charge; the stack stays as small as the number
+    of cells rather than the m**k universal tuples.
     """
     m = ctx.m
     charge = ctx.budget.charge
@@ -280,7 +320,8 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
                 advanced = True
                 break
         if advanced:
-            stack.append(frame)
+            if new:
+                stack.append((t, frame))
             t += 1
             if t == total:
                 return tables
@@ -294,8 +335,7 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
             return None
         if not stack:
             return None
-        frame = stack.pop()
-        t -= 1
+        t, frame = stack.pop()
 
 
 _MISSING = object()

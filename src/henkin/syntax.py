@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
+    "MAX_DEPTH",
+    "TOO_DEEP",
     "Variable",
     "VarLike",
     "as_variable",
@@ -50,10 +52,19 @@ __all__ = [
     "conjoin",
     "disjoin",
     "free_variables",
+    "formula_depth",
     "validate",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
+
+# The walks over a formula recurse per level: the parser six Python frames
+# per parenthesis, the printer and the compiled engine at most three per
+# node, the reference engine a few more per bound variable.  Refusing
+# formulas deeper than this keeps them under the default recursion limit
+# of 1000, with room for the caller's own frames.
+MAX_DEPTH = 100
+TOO_DEEP = f"formula nested more than {MAX_DEPTH} levels deep"
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,14 +400,41 @@ def free_variables(f: Formula) -> frozenset[Variable]:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def formula_depth(f: Formula) -> int:
+    """The most nodes on any path from the root, counting every node but
+    atoms and constants, taken level by level without recursion.
+    ``validate``, the parser and the printer all refuse a formula deeper
+    than ``MAX_DEPTH``."""
+    depth = 0
+    level = [f]
+    while True:
+        below: list[Formula] = []
+        for node in level:
+            if isinstance(node, (Not, ForAll, Exists, Branch)):
+                below.append(node.body)
+            elif isinstance(node, (And, Or)):
+                below += node.items
+            elif isinstance(node, Implies):
+                below += (node.antecedent, node.consequent)
+            elif isinstance(node, Iff):
+                below += (node.left, node.right)
+        if not below:
+            return depth
+        depth += 1
+        level = below
+
+
 def validate(f: Formula) -> list[Diagnostic]:
     """Collect structural diagnostics for a formula.
 
-    Errors: empty or self-rebinding quantifier blocks, n-ary connectives
-    with fewer than two operands, and any prefix whose structure fails
-    ``prefix_diagnostics``.  Shadowing an *outer* binder is legal and comes
-    back as a warning.
+    Errors: nesting deeper than ``MAX_DEPTH`` (reported alone, since the
+    other checks recurse), empty or self-rebinding quantifier blocks, n-ary
+    connectives with fewer than two operands, and any prefix whose
+    structure fails ``prefix_diagnostics``.  Shadowing an *outer* binder is
+    legal and comes back as a warning.
     """
+    if formula_depth(f) > MAX_DEPTH:
+        return [Diagnostic("error", TOO_DEEP)]
     diags: list[Diagnostic] = []
 
     def binder_names(vs: Sequence[Variable], what: str, bound: frozenset[str]) -> None:

@@ -20,11 +20,15 @@ a comment running to end of line.  ``forall``, ``exists``, ``true`` and
 ``false`` are reserved words; ``H`` is special only when a ``{`` follows.
 Input must be ASCII.
 
-Nesting is bounded: every ``~``, parenthesis, quantifier or branched
-prefix body, and right operand of ``->`` or ``<->`` opens one level, and
-a formula more than ``MAX_DEPTH`` levels deep is a ``ParseError``.  So
-parsing, printing and both engines stay within Python's default
-recursion limit.
+Nesting is bounded by ``syntax.MAX_DEPTH``, counted as
+``syntax.formula_depth`` counts it: every node of the tree but atoms and
+constants is a level (``~``, ``!=``, each connective around all of its
+operands, each quantifier block and branched prefix), and in text so is
+every parenthesis.  The parser raises a ``ParseError`` at the opener of
+the first level past the limit, or at the operator whose node would put
+its already parsed left operand past it.  So every formula the parser
+accepts passes ``syntax.validate``, and ``format_formula`` refuses a tree
+that ``validate`` refuses.
 
 Presentations use a separate line-oriented format: one ``word = word``
 equation per line, with the same comment convention.
@@ -49,16 +53,18 @@ from .syntax import (
     Iff,
     Implies,
     InvalidPrefixError,
+    MAX_DEPTH,
     Not,
     Or,
+    TOO_DEEP,
     TRUE,
     Variable,
+    formula_depth,
     mk_prefix,
 )
 from .words import Equation, Presentation
 
 __all__ = [
-    "MAX_DEPTH",
     "SourceSpan",
     "ParseError",
     "parse_formula",
@@ -103,11 +109,6 @@ _NAME_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 _MULTI = ("<->", "->", "!=")
 _SINGLE = frozenset("(){};,.=&|~")
 _RESERVED = frozenset({"forall", "exists", "true", "false"})
-
-# One level of parentheses costs the parser six Python frames, and printing
-# or evaluating a level costs at most three, so 100 levels leave room under
-# the default recursion limit of 1000 for the caller's own frames.
-MAX_DEPTH = 100
 
 
 def _lex(source: str) -> list[_Token]:
@@ -181,10 +182,11 @@ class _Parser:
             return "end of input"
         return f"'{t.text}'"
 
-    def deeper(self, t: _Token) -> None:
-        """Open one nesting level at ``t``; the caller closes it."""
-        if self.depth == MAX_DEPTH:
-            raise ParseError(f"formula nested more than {MAX_DEPTH} levels deep", t.span)
+    def deeper(self, t: _Token, left: Formula = TRUE) -> None:
+        """Open one nesting level at ``t``; the caller closes it.  ``left``
+        is an operand parsed before ``t`` that the level encloses too."""
+        if self.depth + 1 + formula_depth(left) > MAX_DEPTH:
+            raise ParseError(TOO_DEEP, t.span)
         self.depth += 1
 
     def expect(self, kind: str) -> _Token:
@@ -220,7 +222,7 @@ class _Parser:
     def iff(self) -> Formula:
         left = self.implies()
         if self.peek().kind == "<->":
-            self.deeper(self.advance())
+            self.deeper(self.advance(), left)
             right = self.iff()
             self.depth -= 1
             return Iff(left, right)
@@ -229,7 +231,7 @@ class _Parser:
     def implies(self) -> Formula:
         left = self.disjunction()
         if self.peek().kind == "->":
-            self.deeper(self.advance())
+            self.deeper(self.advance(), left)
             right = self.implies()
             self.depth -= 1
             return Implies(left, right)
@@ -237,17 +239,25 @@ class _Parser:
 
     def disjunction(self) -> Formula:
         items = [self.conjunction()]
+        if self.peek().kind != "|":
+            return items[0]
+        self.deeper(self.peek(), items[0])
         while self.peek().kind == "|":
             self.advance()
             items.append(self.conjunction())
-        return items[0] if len(items) == 1 else Or(tuple(items))
+        self.depth -= 1
+        return Or(tuple(items))
 
     def conjunction(self) -> Formula:
         items = [self.unary()]
+        if self.peek().kind != "&":
+            return items[0]
+        self.deeper(self.peek(), items[0])
         while self.peek().kind == "&":
             self.advance()
             items.append(self.unary())
-        return items[0] if len(items) == 1 else And(tuple(items))
+        self.depth -= 1
+        return And(tuple(items))
 
     def unary(self) -> Formula:
         t = self.peek()
@@ -331,7 +341,8 @@ class _Parser:
                 self.advance()
                 return EqualAtom(left, self.variable())
             if op.kind == "!=":
-                self.advance()
+                self.deeper(self.advance())
+                self.depth -= 1
                 return Not(EqualAtom(left, self.variable()))
             raise ParseError(
                 f"expected '=' or '!=' after '{left.name}', found {self.describe(op)}", op.span
@@ -355,6 +366,10 @@ def parse_formula(source: str) -> Formula:
 
 
 def format_formula(f: Formula) -> str:
+    """Print ``f``; raises ``ValueError`` on a tree nested more than
+    ``MAX_DEPTH`` levels deep, which ``syntax.validate`` refuses too."""
+    if formula_depth(f) > MAX_DEPTH:
+        raise ValueError(TOO_DEEP)
     return _fmt(f, 0)
 
 

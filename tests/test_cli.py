@@ -75,7 +75,7 @@ class TestEval:
         assert main(argv + [str(budget.spent - 1)]) == 4
 
     def test_budget_exhausted(self, capsys):
-        code = main(["eval", "--expr", "forall a b c . a = a", "--size", "3", "--budget", "5"])
+        code = main(["eval", "--expr", "forall a b c d . a = a", "--size", "3", "--budget", "5"])
         assert code == 4
         assert "error:" in capsys.readouterr().err
 

@@ -2,20 +2,34 @@ import pytest
 from hypothesis import given, strategies as st
 
 from henkin import (
+    FALSE,
+    TRUE,
     And,
+    Branch,
     Budget,
     BudgetExceeded,
+    Equation,
+    Exists,
+    ForAll,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Presentation,
     SkolemTable,
     Variable,
     equal,
     evaluate,
     evaluate_naive,
     find_min_model,
+    free_variables,
+    mk_prefix,
     parse_formula,
+    reducer,
     witness_tables,
 )
 
-from _corpus import agreement_corpus
+from _corpus import CROSSCHECK_INSTANCES, agreement_corpus
 
 P = parse_formula
 
@@ -207,3 +221,71 @@ class TestEngineAgreementSmall:
     def test_selected(self, text, m):
         f = P(text)
         assert evaluate(f, m) == evaluate_naive(f, m, budget=Budget(500_000))
+
+
+_NAMES = ("x", "y", "u", "w")
+_BLOCK = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2, unique=True)
+
+
+def _small_formulas():
+    """Formulas over a few names, free ones included, with linear blocks and
+    one-row branched prefixes nested inside each other."""
+    leaves = st.one_of(
+        st.builds(equal, st.sampled_from(_NAMES), st.sampled_from(_NAMES)),
+        st.sampled_from([TRUE, FALSE]),
+    )
+
+    def grow(sub):
+        row = st.sampled_from([(), ("u",)])
+        return st.one_of(
+            st.builds(Not, sub),
+            st.builds(lambda a, b: And((a, b)), sub, sub),
+            st.builds(lambda a, b: Or((a, b)), sub, sub),
+            st.builds(Implies, sub, sub),
+            st.builds(Iff, sub, sub),
+            st.builds(ForAll, _BLOCK, sub),
+            st.builds(Exists, _BLOCK, sub),
+            st.builds(lambda deps, b: Branch(mk_prefix(["u"], ["w"], {"w": deps}), b), row, sub),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+class TestSymmetryBreaking:
+    def test_enclosing_scope_counts(self):
+        # A block that ignored the bound x = 2 would try only y = 0.
+        assert evaluate(P("exists y . y = x"), 3, env={"x": 2}) is True
+        assert evaluate(P("forall y . y != x"), 3, env={"x": 2}) is False
+        assert evaluate(P("exists x . forall y . exists z . z != y & z != x"), 3) is True
+
+    @pytest.mark.parametrize("text, nodes", [("forall a b c . a = a", 5), ("forall a b c d . a = a", 14)])
+    def test_one_node_per_restricted_growth_string(self, text, nodes):
+        budget = Budget()
+        assert evaluate(P(text), 3, budget=budget) is True
+        assert budget.spent == nodes
+
+    @pytest.mark.parametrize(
+        "equations, query, smallest",
+        [case for case in CROSSCHECK_INSTANCES if case[2] is not None],
+    )
+    def test_spine_values_are_canonical(self, equations, query, smallest):
+        sentence = reducer.compile(Presentation.of(equations), Equation(*query))
+        tables = witness_tables(sentence, smallest)
+        spine = [t.entries[0][1] for t in tables if t.arity == 0]
+        assert spine
+        for i, value in enumerate(spine):
+            assert value <= max(spine[:i], default=-1) + 1, spine
+
+    def test_node_count_guard(self):
+        # Node counts repeat exactly; without the rule this costs 897,737.
+        sentence = reducer.compile(Presentation.of([("ba", "ab")]), Equation("ab", "ba"))
+        budget = Budget()
+        assert evaluate(sentence, 3, budget=budget) is False
+        assert budget.spent < 150_000
+
+    @given(st.data())
+    def test_agrees_with_naive_engine(self, data):
+        f = data.draw(_small_formulas())
+        m = data.draw(st.integers(min_value=1, max_value=3))
+        env = {v.name: data.draw(st.integers(0, m - 1)) for v in sorted(free_variables(f), key=str)}
+        assert evaluate(f, m, env) == evaluate_naive(f, m, env)

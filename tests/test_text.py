@@ -24,13 +24,15 @@ from henkin import (
     evaluate_naive,
     format_formula,
     format_presentation,
+    mk_prefix,
     not_equal,
     parse_equation,
     parse_formula,
     parse_presentation,
     validate,
 )
-from henkin.text import MAX_DEPTH, format_equation
+from henkin.syntax import MAX_DEPTH
+from henkin.text import format_equation
 from _corpus import agreement_corpus
 
 
@@ -267,3 +269,71 @@ class TestNestingLimit:
         for _ in range(MAX_DEPTH + 1):
             at = text.index(opener, at + 1)
         assert (info.value.span.line, info.value.span.column) == (1, at + 1)
+
+    # The tree has a node at '!=' and at each connective, and a
+    # connective's level encloses its left operand too, which was parsed
+    # before the operator was seen; past the limit the error points at
+    # the operator.
+    @pytest.mark.parametrize(
+        "prefix, tail, op",
+        [
+            ("forall x . ", "x != x", "!="),
+            ("forall x . ", "x = x & x = x", "&"),
+            ("forall x . ", "x = x | x = x", "|"),
+            ("~", "true & true", "&"),
+            ("~", "true | true", "|"),
+            ("~", "true -> true", "->"),
+            ("~", "true <-> true", "<->"),
+        ],
+    )
+    def test_operators_open_levels(self, prefix, tail, op, default_recursion_limit):
+        text = prefix * (MAX_DEPTH - 1) + tail
+        f = parse_formula(text)
+        assert [d for d in validate(f) if d.severity == "error"] == []
+        assert evaluate(f, 1) is evaluate_naive(f, 1)
+        assert format_formula(f) == text
+        text = prefix + text
+        with pytest.raises(ParseError, match=f"nested more than {MAX_DEPTH} levels deep") as info:
+            parse_formula(text)
+        assert info.value.span.column == text.index(op) + 1
+
+
+# One wrapper per kind of inner node, for trees built through the API,
+# which never pass through the parser.
+WRAPPERS = [
+    Not,
+    lambda f: And((f, TRUE)),
+    lambda f: Or((FALSE, f)),
+    lambda f: Implies(f, TRUE),
+    lambda f: Iff(f, TRUE),
+    lambda f: ForAll(("x",), f),
+    lambda f: Branch(mk_prefix(["u"], ["w"], {"w": ["u"]}), f),
+]
+
+
+def nested_tree(depth: int, wrappers=WRAPPERS):
+    f = equal("x", "x")
+    for i in range(depth):
+        f = wrappers[i % len(wrappers)](f)
+    return f
+
+
+class TestTreeDepthLimit:
+    def test_at_the_limit_every_walk_fits(self, default_recursion_limit):
+        f = nested_tree(MAX_DEPTH)
+        assert [d for d in validate(f) if d.severity == "error"] == []
+        assert evaluate(f, 1) is evaluate_naive(f, 1)
+        assert format_formula(f)
+
+    @pytest.mark.parametrize(
+        "depth, wrappers", [(MAX_DEPTH + 1, WRAPPERS), (2000, WRAPPERS), (2000, [Not])]
+    )
+    def test_past_the_limit_is_refused(self, depth, wrappers):
+        f = nested_tree(depth, wrappers)
+        message = f"nested more than {MAX_DEPTH} levels deep"
+        assert [d.message for d in validate(f)] == ["formula " + message]
+        for walk in (evaluate, evaluate_naive):
+            with pytest.raises(ValueError, match=message):
+                walk(f, 1)
+        with pytest.raises(ValueError, match=message):
+            format_formula(f)
