@@ -7,16 +7,18 @@ every assignment of the universals.  Both engines here search for such
 tables; they differ in how.
 
 ``evaluate`` is the workhorse.  It compiles the formula into nested
-closures over a flat slot environment, then runs a backtracking search
-that visits universal tuples in lexicographic order (first declared
-universal most significant) and fills each table cell the first time a
-tuple reads it.  Cells already filled by earlier tuples are constraints;
-cells first read here are decisions, enumerated in increasing value
-order.  When a tuple exhausts its decisions, the search backtracks
-chronologically -- with one shortcut: if that tuple shared no previously
-filled cell, its failure is independent of every decision taken
-elsewhere, so no amount of backtracking can save the prefix and the
-search stops at once.
+closures over a flat slot environment.  At a branched prefix it splits
+the matrix into its conjuncts (nested ``And``s flattened) and grounds
+each one only over the universals that key the table cells it reads:
+one instance per tuple of those, since a universal quantifier
+distributes over a conjunction.  Universals a conjunct mentions but that
+key none of its cells are looped inside the instance's check rather than
+multiplied into instances.  The search then assigns table cells in order
+of first appearance, checking each instance once its last cell has a
+value, and backjumps on conflict (CBJ, Prosser 1993): a cell that runs
+out of values returns to the latest cell that took part in one of its
+failures, and if none did, the prefix is false.  So ``ceitin-h12`` at
+m=3 grounds 1,134 instances instead of walking 3**12 universal tuples.
 
 Linear ``forall``/``exists`` blocks break value symmetry (the
 least-number rule of SEM and Mace4).  The vocabulary is empty, so any
@@ -25,22 +27,25 @@ automorphism, and a block only needs those values plus one fresh one:
 its first variable ranges over ``0 .. M+1`` (capped at ``m-1``), where
 ``M`` is the largest value bound in the block's scope (-1 if none), and
 each later variable over ``0`` to one above the largest value before it.
-Branch table cells keep the full range: their universal tuples run in
-lexicographic order, so every value is bound after the first ``m``
-tuples and the rule would prune almost nothing.
+Branch table cells keep the full range: a permutation moves a table's
+keys as well as its values, and the keys of the first cells of a
+conjunct already run through the whole domain, so the rule would prune
+almost nothing.
 
 ``evaluate_naive`` is a deliberately transparent reference engine.  It
-walks the tree with a name-keyed dictionary environment and, at a
-branched prefix, enumerates complete choice tables one existential at a
-time, checking the matrix on every universal tuple.  Its cost explodes
+walks the tree with a name-keyed dictionary environment, enumerates a
+quantifier block's complete assignments and, at a branched prefix,
+complete sets of choice tables, checking the matrix on every universal
+tuple; it recurses only down the formula tree.  Its cost explodes
 quickly; it exists so the two engines can cross-check each other on
 small instances.
 
 ``witness_tables`` runs the same compile and the same search as
 ``evaluate`` and reads its certificate off that one search: the values of
 the outer ``exists`` spine stay in their slots when the search succeeds,
-and every successful branch search records its tables on the compile
-context, the last one being the branched prefix at the end of the spine.
+and every successful branch search records its cell values on the
+compile context, the last one being the branched prefix at the end of
+the spine; cells no instance reads are reported as 0.
 Its verdict and its budget spend are therefore exactly ``evaluate``'s.
 
 Both engines charge their search steps against a ``Budget`` and raise
@@ -102,7 +107,7 @@ class _Ctx:
         self.m = m
         self.budget = budget
         self.nslots = 0
-        # (program, tables) of the last branch search that succeeded.
+        # (program, cell values) of the last branch search that succeeded.
         self.found = None
 
     def alloc(self) -> int:
@@ -112,15 +117,27 @@ class _Ctx:
 
 
 class _BranchProgram:
-    __slots__ = ("uni_slots", "ex_slots", "dep_slots", "names", "arities", "matrix")
+    """A compiled branched prefix.
 
-    def __init__(self, uni_slots, ex_slots, dep_slots, names, arities, matrix):
+    ``deps`` gives each existential's dependencies as universal indices.
+    ``conjuncts`` holds, in check order, one ``(exs, keyed, loose, test)``
+    per conjunct of the matrix: the indices of the existentials it
+    mentions and of the universals that key their cells, the slots of the
+    other universals it mentions, and its compiled closure.  ``ground``
+    caches the instances on first use; the domain size is fixed per
+    compile.
+    """
+
+    __slots__ = ("uni_slots", "ex_slots", "deps", "names", "arities", "conjuncts", "ground")
+
+    def __init__(self, uni_slots, ex_slots, deps, names, conjuncts):
         self.uni_slots = uni_slots
         self.ex_slots = ex_slots
-        self.dep_slots = dep_slots
+        self.deps = deps
         self.names = names
-        self.arities = arities
-        self.matrix = matrix
+        self.arities = tuple(len(ds) for ds in deps)
+        self.conjuncts = conjuncts
+        self.ground = None
 
 
 def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
@@ -196,10 +213,10 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
         prog = _compile_branch(node, scope, ctx)
 
         def run_branch(env, _prog=prog, _ctx=ctx):
-            tables = _branch_search(_prog, env, _ctx)
-            if tables is None:
+            values = _branch_search(_prog, env, _ctx)
+            if values is None:
                 return False
-            _ctx.found = (_prog, tables)
+            _ctx.found = (_prog, values)
             return True
 
         return run_branch
@@ -227,115 +244,153 @@ def _assignments(k: int, m: int, top: int):
             highs[j] = high
 
 
+def _conjuncts(f: Formula) -> list[Formula]:
+    """The operands of ``f``'s nested conjunctions, left to right."""
+    out = []
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, And):
+            todo.extend(reversed(g.items))
+        else:
+            out.append(g)
+    return out
+
+
 def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx) -> _BranchProgram:
     prefix = node.prefix
     inner = dict(scope)
-    uni_slots = []
-    for v in prefix.universals:
-        s = ctx.alloc()
-        inner[v.name] = s
-        uni_slots.append(s)
-    ex_slots = []
-    for v in prefix.existentials:
-        s = ctx.alloc()
-        inner[v.name] = s
-        ex_slots.append(s)
-    dep_slots = tuple(tuple(inner[d.name] for d in ds) for ds in prefix.deps)
-    matrix = _compile(node.body, inner, ctx)
+    for v in prefix.bound():
+        inner[v.name] = ctx.alloc()
+    uni_index = {v.name: j for j, v in enumerate(prefix.universals)}
+    deps = tuple(tuple(uni_index[d.name] for d in ds) for ds in prefix.deps)
+    conjuncts = []
+    for part in _conjuncts(node.body):
+        names = {v.name for v in free_variables(part)}
+        exs = tuple(i for i, e in enumerate(prefix.existentials) if e.name in names)
+        keyed = tuple(sorted({j for i in exs for j in deps[i]}))
+        loose = tuple(
+            inner[v.name]
+            for j, v in enumerate(prefix.universals)
+            if v.name in names and j not in keyed
+        )
+        conjuncts.append((exs, keyed, loose, _compile(part, inner, ctx)))
+    conjuncts.sort(key=lambda c: (len(c[0]), len(c[1])))
     return _BranchProgram(
-        tuple(uni_slots),
-        tuple(ex_slots),
-        dep_slots,
+        tuple(inner[v.name] for v in prefix.universals),
+        tuple(inner[v.name] for v in prefix.existentials),
+        deps,
         tuple(v.name for v in prefix.existentials),
-        tuple(len(ds) for ds in prefix.deps),
-        matrix,
+        tuple(conjuncts),
     )
+
+
+def _ground(prog: _BranchProgram, m: int, charge):
+    """Instantiate every conjunct over the tuples of its keyed universals.
+
+    Returns ``(cells, first, checks)``: the cells ``(existential, key)`` in
+    order of first appearance, the instances that read no cell, and per
+    cell the instances whose last cell it is.  An instance is ``(values,
+    read, (keyed_slots, ex_slots, loose, test))``: the keyed universals'
+    values, the cells its existentials read, and the slots and closure
+    it shares with the other instances of its conjunct.  One node per
+    instance.
+    """
+    cell_of: dict[tuple, int] = {}
+    cells: list[tuple[int, tuple[int, ...]]] = []
+    first = []
+    checks: list[list] = []
+    for exs, keyed, loose, test in prog.conjuncts:
+        keyed_slots = tuple(prog.uni_slots[j] for j in keyed)
+        shared = (keyed_slots, tuple(prog.ex_slots[i] for i in exs), loose, test)
+        for values in itertools.product(range(m), repeat=len(keyed)):
+            charge()
+            at = dict(zip(keyed, values))
+            read = []
+            for i in exs:
+                cell = (i, tuple(at[j] for j in prog.deps[i]))
+                c = cell_of.get(cell)
+                if c is None:
+                    c = cell_of[cell] = len(cells)
+                    cells.append(cell)
+                    checks.append([])
+                read.append(c)
+            inst = (values, tuple(read), shared)
+            if read:
+                checks[max(read)].append(inst)
+            else:
+                first.append(inst)
+    return cells, first, checks
 
 
 def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
     """Search for choice tables satisfying a branched prefix.
 
-    Returns the per-existential tables (dicts keyed by dependency values)
-    on success, None on failure.  Table keys are () for arity 0, a bare
-    value for arity 1, and a tuple otherwise.
+    Returns the value of every cell, numbered as in ``_ground``, on
+    success, None on failure.
 
-    The backtracking stack holds only decision frames, those of tuples
-    that filled a new cell, each with its tuple index.  A tuple that read
-    only filled cells had one candidate, already tried, so backtracking
-    passes it by without a charge; the stack stays as small as the number
-    of cells rather than the m**k universal tuples.
+    The matrix is split into its conjuncts and each is grounded over the
+    universals that key the cells it reads (``_ground``); the search then
+    assigns cells in order, values ``0..m-1``, with conflict-directed
+    backjumping (Prosser 1993).  An instance is checked when its last
+    cell is assigned, its loose universals looped inside the check; when
+    it fails, its other cells join the current cell's conflict set.  A
+    cell that runs out of values jumps back to the latest cell of its
+    set, merging the rest of the set into that cell's; an empty set means
+    no assignment of the other cells can help, so the prefix is false.
+    Instances that read no cell are checked once, first.  One node per
+    cell value tried and per loose tuple checked.
     """
     m = ctx.m
     charge = ctx.budget.charge
-    uni_slots = prog.uni_slots
-    ex_slots = prog.ex_slots
-    dep_slots = prog.dep_slots
-    matrix = prog.matrix
-    k = len(uni_slots)
-    nex = len(ex_slots)
-    total = m**k
-    tables: list[dict] = [{} for _ in range(nex)]
+    if prog.ground is None:
+        prog.ground = _ground(prog, m, charge)
+    cells, first, checks = prog.ground
+    value = [-1] * len(cells)
 
-    def build(t: int):
-        rest = t
-        uv = [0] * k
-        for idx in range(k - 1, -1, -1):
-            rest, uv[idx] = divmod(rest, m)
-        uv = tuple(uv)
-        for s, val in zip(uni_slots, uv):
-            env[s] = val
-        fixed = []
-        new = []
-        for i in range(nex):
-            ds = dep_slots[i]
-            if not ds:
-                key = ()
-            elif len(ds) == 1:
-                key = env[ds[0]]
-            else:
-                key = tuple(env[d] for d in ds)
-            if key in tables[i]:
-                fixed.append((i, key))
-            else:
-                new.append((i, key))
-        combos = itertools.product(range(m), repeat=len(new))
-        return (uv, tuple(fixed), tuple(new), combos)
-
-    stack: list[tuple] = []
-    t = 0
-    frame = build(0)
-    while True:
-        uv, fixed, new, combos = frame
-        advanced = False
-        for combo in combos:
+    def holds(inst) -> bool:
+        values, read, (keyed_slots, ex_slots, loose, test) = inst
+        for s, v in zip(keyed_slots, values):
+            env[s] = v
+        for s, c in zip(ex_slots, read):
+            env[s] = value[c]
+        if not loose:
+            return test(env)
+        for vals in itertools.product(range(m), repeat=len(loose)):
             charge()
-            for s, val in zip(uni_slots, uv):
-                env[s] = val
-            for i, key in fixed:
-                env[ex_slots[i]] = tables[i][key]
-            for (i, key), val in zip(new, combo):
-                tables[i][key] = val
-                env[ex_slots[i]] = val
-            if matrix(env):
-                advanced = True
+            for s, v in zip(loose, vals):
+                env[s] = v
+            if not test(env):
+                return False
+        return True
+
+    if not all(holds(inst) for inst in first):
+        return None
+    conflicts: list[set[int]] = [set() for _ in cells]
+    i = 0
+    while i < len(cells):
+        while value[i] < m - 1:
+            value[i] += 1
+            charge()
+            failed = next((inst for inst in checks[i] if not holds(inst)), None)
+            if failed is None:
                 break
-        if advanced:
-            if new:
-                stack.append((t, frame))
-            t += 1
-            if t == total:
-                return tables
-            frame = build(t)
+            conflicts[i].update(failed[1])
+            conflicts[i].discard(i)
+        else:
+            # Cell i is out of values: jump back to the latest cell to blame.
+            blame = conflicts[i]
+            if not blame:
+                return None
+            i = max(blame)
+            blame.discard(i)
+            conflicts[i] |= blame
             continue
-        for i, key in new:
-            tables[i].pop(key, None)
-        if not fixed:
-            # This tuple read no previously filled cell, so its failure
-            # cannot be blamed on any earlier decision.
-            return None
-        if not stack:
-            return None
-        t, frame = stack.pop()
+        i += 1
+        if i < len(cells):
+            value[i] = -1
+            conflicts[i].clear()
+    return value
 
 
 _MISSING = object()
@@ -363,26 +418,16 @@ def _neval(f: Formula, env: dict[str, int], m: int, budget: Budget) -> bool:
     if isinstance(f, (ForAll, Exists)):
         want = isinstance(f, Exists)
         names = [v.name for v in f.variables]
-
-        def go(idx: int) -> bool:
-            if idx == len(names):
-                return _neval(f.body, env, m, budget)
-            name = names[idx]
-            saved = env.get(name, _MISSING)
-            try:
-                for val in range(m):
-                    budget.charge()
-                    env[name] = val
-                    if go(idx + 1) == want:
-                        return want
-                return not want
-            finally:
-                if saved is _MISSING:
-                    env.pop(name, None)
-                else:
-                    env[name] = saved
-
-        return go(0)
+        saved = {name: env.get(name, _MISSING) for name in names}
+        try:
+            for values in itertools.product(range(m), repeat=len(names)):
+                budget.charge()
+                env.update(zip(names, values))
+                if _neval(f.body, env, m, budget) == want:
+                    return want
+            return not want
+        finally:
+            _restore(env, saved)
     if isinstance(f, Branch):
         return _naive_branch(f, env, m, budget)
     raise TypeError(f"not a formula: {f!r}")
@@ -393,6 +438,12 @@ def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> boo
     uni = [v.name for v in prefix.universals]
     exis = list(zip(prefix.existentials, prefix.deps))
     tables: list[dict[tuple[int, ...], int]] = [{} for _ in exis]
+    # Every cell of every table; the first existential's vary slowest.
+    cells = [
+        (tab, key)
+        for tab, (_, deps) in zip(tables, exis)
+        for key in itertools.product(range(m), repeat=len(deps))
+    ]
     touched = uni + [e.name for e, _ in exis]
     saved = {name: env.get(name, _MISSING) for name in touched}
 
@@ -407,29 +458,25 @@ def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> boo
                 return False
         return True
 
-    def search(idx: int) -> bool:
-        if idx == len(exis):
-            return check_all()
-        _, deps = exis[idx]
-        keys = tuple(itertools.product(range(m), repeat=len(deps)))
-        tab = tables[idx]
-        for values in itertools.product(range(m), repeat=len(keys)):
-            budget.charge()
-            for key, val in zip(keys, values):
-                tab[key] = val
-            if search(idx + 1):
-                return True
-        tab.clear()
-        return False
-
     try:
-        return search(0)
+        for values in itertools.product(range(m), repeat=len(cells)):
+            budget.charge()
+            for (tab, key), val in zip(cells, values):
+                tab[key] = val
+            if check_all():
+                return True
+        return False
     finally:
-        for name, val in saved.items():
-            if val is _MISSING:
-                env.pop(name, None)
-            else:
-                env[name] = val
+        _restore(env, saved)
+
+
+def _restore(env: dict[str, int], saved: dict[str, object]) -> None:
+    """Put back the bindings ``saved`` took from ``env``, dropping new ones."""
+    for name, val in saved.items():
+        if val is _MISSING:
+            env.pop(name, None)
+        else:
+            env[name] = val
 
 
 def _prepare(f: Formula, size: int, env) -> dict[str, int]:
@@ -524,8 +571,11 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
     if isinstance(node, Branch):
         # Nothing runs after the spine's final branch search succeeds, and
         # a nested branch finishes before the branch around it.
-        prog, tables = ctx.found
+        # Cells no instance reads get 0, so every table is total.
+        prog, values = ctx.found
+        tables = [dict.fromkeys(itertools.product(range(size), repeat=a), 0) for a in prog.arities]
+        for (e, key), val in zip(prog.ground[0], values):
+            tables[e][key] = val
         for name, arity, tab in zip(prog.names, prog.arities, tables):
-            entries = sorted(((k if isinstance(k, tuple) else (k,)), v) for k, v in tab.items())
-            out.append(SkolemTable(name, arity, tuple(entries)))
+            out.append(SkolemTable(name, arity, tuple(sorted(tab.items()))))
     return out

@@ -15,6 +15,8 @@ from henkin import (
 )
 from henkin.cli import main
 
+from _corpus import CROSSCHECK_INSTANCES
+
 CANON_TEXT = "aa = a\nbb = b\n"
 
 
@@ -78,6 +80,18 @@ class TestEval:
         code = main(["eval", "--expr", "forall a b c d . a = a", "--size", "3", "--budget", "5"])
         assert code == 4
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "forall " + " ".join(f"x{i}" for i in range(1200)) + " . true",
+            "H{ forall x ; " + ", ".join(f"y{i}()" for i in range(1200)) + " } . true",
+        ],
+        ids=["block", "prefix"],
+    )
+    def test_naive_engine_on_1200_variables(self, capsys, text):
+        assert main(["eval", "--naive", "--expr", text, "--size", "1"]) == 0
+        assert capsys.readouterr().out == "true\n"
 
     def test_parse_error(self, capsys):
         assert main(["eval", "--expr", "forall x .", "--size", "2"]) == 2
@@ -194,6 +208,19 @@ class TestCrosscheck:
             "m=2: eval=true oracle=witness agree",
             "m=3: eval=true oracle=witness agree",
         ]
+
+    @pytest.mark.parametrize("equations, query, smallest", CROSSCHECK_INSTANCES)
+    def test_every_instance_agrees_up_to_size_four(
+        self, capsys, tmp_path, equations, query, smallest
+    ):
+        path = tmp_path / "presentation.txt"
+        path.write_text("".join(f"{a} = {b}\n" for a, b in equations), encoding="ascii")
+        argv = ["--presentation", str(path), "--query", " = ".join(query), "--max-size", "4"]
+        assert main(["crosscheck"] + argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and all(line.endswith(" agree") for line in lines), lines
+        if smallest is not None:
+            assert lines[smallest - 1].startswith(f"m={smallest}: eval=true")
 
     def test_corrupt_reports_mismatch(self, capsys, canon_file):
         code = main(

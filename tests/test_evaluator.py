@@ -18,10 +18,13 @@ from henkin import (
     Presentation,
     SkolemTable,
     Variable,
+    ceitin_h12,
+    ceitin_presentation,
     equal,
     evaluate,
     evaluate_naive,
     find_min_model,
+    find_witness,
     free_variables,
     mk_prefix,
     parse_formula,
@@ -29,7 +32,7 @@ from henkin import (
     witness_tables,
 )
 
-from _corpus import CROSSCHECK_INSTANCES, agreement_corpus
+from _corpus import CROSSCHECK_INSTANCES, agreement_corpus, collapse_cases
 
 P = parse_formula
 
@@ -289,3 +292,85 @@ class TestSymmetryBreaking:
         m = data.draw(st.integers(min_value=1, max_value=3))
         env = {v.name: data.draw(st.integers(0, m - 1)) for v in sorted(free_variables(f), key=str)}
         assert evaluate(f, m, env) == evaluate_naive(f, m, env)
+
+
+def _quantifier_free(names):
+    leaves = st.builds(equal, st.sampled_from(names), st.sampled_from(names))
+    return st.recursive(
+        st.one_of(leaves, st.builds(Not, leaves)),
+        lambda sub: st.one_of(
+            st.builds(lambda a, b: And((a, b)), sub, sub),
+            st.builds(lambda a, b: Or((a, b)), sub, sub),
+            st.builds(Implies, sub, sub),
+        ),
+        max_leaves=4,
+    )
+
+
+class TestGroundedSearch:
+    def test_failure_after_a_resumed_frame_is_not_final(self):
+        # A shortcut that stops when a tuple reads no filled cell wrongly
+        # calls this false once backtracking has resumed an earlier frame.
+        f = P("H{ forall x1 ; y1(x1) } . (y1 != x1 | y1 = x1) & (y1 = y1 & x1 = y1)")
+        assert evaluate(f, 3) is True
+        assert evaluate_naive(f, 3) is True
+
+    def test_backjumping_keeps_collapse_11_small(self):
+        # Backjumping decides this in 158 nodes; backtracking
+        # chronologically over the same cells runs for minutes.
+        name, n, matrix = collapse_cases()[11]
+        uni = tuple(Variable(f"x{j}") for j in range(1, n + 1))
+        exi = tuple(Variable(f"y{j}") for j in range(1, n + 1))
+        f = Branch(mk_prefix(uni, exi, {e: uni for e in exi}), matrix)
+        budget = Budget()
+        assert evaluate(f, 3, budget=budget) is False
+        assert budget.spent < 10_000
+
+    def test_ceitin_h12_node_guard(self):
+        # 1,134 ground instances; walking the universal tuples cost 531,441.
+        budget = Budget()
+        assert evaluate(ceitin_h12(), 3, budget=budget) is True
+        assert budget.spent < 2_000
+
+    def test_crosscheck_at_size_four_node_guard(self):
+        spent = 0
+        for equations, query, _ in CROSSCHECK_INSTANCES:
+            sentence = reducer.compile(Presentation.of(equations), Equation(*query))
+            budget = Budget()
+            evaluate(sentence, 4, budget=budget)
+            spent += budget.spent
+        assert spent < 100_000
+
+    @pytest.mark.parametrize("query", ["ab=ba", "ae=ea", "ce=ec", "ac=ca"])
+    def test_compiled_ceitin_presentation_agrees_with_oracle(self, query):
+        presentation = ceitin_presentation()
+        equation = Equation(*query.split("="))
+        sentence = reducer.compile(presentation, equation)
+        for m in (1, 2, 3):
+            witness = find_witness(presentation, equation, m)
+            assert evaluate(sentence, m) is (witness is not None), (query, m)
+
+    def test_witness_tables_are_total(self):
+        # w is never mentioned, so no instance reads its cells.
+        tabs = witness_tables(P("H{ forall x z ; y(x), w(x z) } . y = x"), 2)
+        assert [t.owner for t in tabs] == ["y", "w"]
+        assert tabs[0].entries == (((0,), 0), ((1,), 1))
+        assert tabs[1].entries == tuple(((a, b), 0) for a in (0, 1) for b in (0, 1))
+
+    def test_loose_universals_are_checked(self):
+        # x keys no cell of y, so every x is looped inside the check.
+        assert evaluate(P("H{ forall x z ; y(z) } . y = z & (x = x | y != y)"), 3) is True
+        assert evaluate(P("H{ forall x z ; y(z) } . y = z & x = z"), 2) is False
+
+    @given(st.data())
+    def test_two_row_prefixes_agree_with_naive_engine(self, data):
+        deps = st.sampled_from([(), ("u",), ("x",), ("u", "x"), ("x", "u")])
+        dw, dy = data.draw(deps), data.draw(deps)
+        conjunctions = st.recursive(
+            _quantifier_free(_NAMES), lambda sub: st.builds(lambda a, b: And((a, b)), sub, sub)
+        )
+        matrix = data.draw(conjunctions)
+        f = Branch(mk_prefix(["u", "x"], ["w", "y"], {"w": dw, "y": dy}), matrix)
+        # An arity-2 table has 3**9 fillings at m=3, too many for the naive engine.
+        m = data.draw(st.integers(1, 2 if 2 in (len(dw), len(dy)) else 3))
+        assert evaluate(f, m) == evaluate_naive(f, m)
