@@ -138,22 +138,13 @@ def _load_instance(args: argparse.Namespace):
 
 
 def _drop_separation(sentence: Exists) -> Exists:
-    """Remove the final disequation from a compiled sentence.
+    """Remove the last conjunct, ``separate``, from a compiled sentence.
 
     Used by ``crosscheck --corrupt``: without the separation demand the
     sentence is true on every domain, so the comparison must fail.
     """
     branch = sentence.body
-    assert isinstance(branch, Branch)
-    matrix = branch.body
-    parts = matrix.items if isinstance(matrix, And) else (matrix,)
-    last = parts[-1]
-    assert isinstance(last, And)
-    trimmed = last.items[:-1]
-    new_last = trimmed[0] if len(trimmed) == 1 else And(trimmed)
-    new_parts = parts[:-1] + (new_last,)
-    new_matrix = new_parts[0] if len(new_parts) == 1 else And(new_parts)
-    return Exists(sentence.variables, Branch(branch.prefix, new_matrix))
+    return Exists(sentence.variables, Branch(branch.prefix, And(branch.body.items[:-1])))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

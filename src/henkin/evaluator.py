@@ -439,11 +439,12 @@ def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> boo
     exis = list(zip(prefix.existentials, prefix.deps))
     tables: list[dict[tuple[int, ...], int]] = [{} for _ in exis]
     # Every cell of every table; the first existential's vary slowest.
-    cells = [
-        (tab, key)
-        for tab, (_, deps) in zip(tables, exis)
-        for key in itertools.product(range(m), repeat=len(deps))
-    ]
+    # One node per cell listed, so a budget stops a huge table set early.
+    cells = []
+    for tab, (_, deps) in zip(tables, exis):
+        for key in itertools.product(range(m), repeat=len(deps)):
+            budget.charge()
+            cells.append((tab, key))
     touched = uni + [e.name for e, _ in exis]
     saved = {name: env.get(name, _MISSING) for name in touched}
 
@@ -532,14 +533,16 @@ def evaluate_naive(f: Formula, size: int, env=None, budget: Budget | None = None
 def find_min_model(f: Formula, max_size: int, budget: Budget | None = None) -> int | None:
     """Smallest domain size in 1..max_size on which ``f`` is true, else None.
 
-    All sizes share one budget; on exhaustion the raised ``BudgetExceeded``
-    records the size being tried.
+    All sizes share one budget, and each size tried costs one node besides
+    its search; on exhaustion the raised ``BudgetExceeded`` records the
+    size being tried.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     budget = budget if budget is not None else Budget()
     for m in range(1, max_size + 1):
         try:
+            budget.charge()
             if evaluate(f, m, budget=budget):
                 return m
         except BudgetExceeded:

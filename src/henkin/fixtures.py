@@ -208,14 +208,10 @@ def ceitin_h12_with_query(query: Equation) -> Exists:
     extra = sorted(letters - set("abcde"))
     if extra:
         raise ValueError("query letters must be among a-e, got: " + ", ".join(extra))
-    t_vars = tuple(Variable(f"t{j}") for j in range(len(query.lhs) + 1))
-    s_vars = tuple(Variable(f"s{j}") for j in range(len(query.rhs) + 1))
-    designated = {
-        ch: (Variable(f"x_{ch}"), Variable(f"y_{ch}")) for ch in "abcde"
-    }
-    sep = separation_clauses(query, designated, t_vars, s_vars)
-    matrix = And(tuple(f for _, f in ceitin_h12_clauses()) + tuple(sep))
-    return Exists(t_vars + s_vars, Branch(ceitin_h12_prefix(), matrix))
+    designated = {ch: (Variable(f"x_{ch}"), Variable(f"y_{ch}")) for ch in "abcde"}
+    spine, trace = separation_clauses(query, designated)
+    matrix = And(tuple(f for _, f in ceitin_h12_clauses() + trace))
+    return Exists(spine, Branch(ceitin_h12_prefix(), matrix))
 
 
 _E10_ROW1 = ("y_a", "y_ca", "y_da", "y_b", "y_cb", "y_db", "y_e", "y_eca", "y_de", "y_cca")

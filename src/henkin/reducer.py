@@ -11,13 +11,20 @@ model of E separates v from w at a point.  The shape:
 
 * An outer existential spine t0..tl, s0..sk traces the action of v and w
   letter by letter: t_l = s_k is the common start point, t_0 and s_0 the
-  two results, and the final conjunct demands they differ.
+  two results, and the last clause demands they differ.
 
 The row variables are named by position: equation i's left word gets
 rows (x{i}_{j}, y{i}_{j}), its right word (z{i}_{j}, r{i}_{j}), and the
 designated row for query letter c is (u_c, e_c).  Words act rightmost
 letter first, so row j feeds row j-1: the chain constraints equate each
 row's universal with the next row's existential.
+
+The matrix is one flat conjunction of labeled clauses, in this order:
+``same-letter:c:X,Y`` for each pair of rows X, Y (named by their
+universals) carrying letter c, ``equation:i`` for equation i (from 1),
+``trace:tj`` and ``trace:sj`` for the step from t_j to t_{j-1} (s_j to
+s_{j-1}), ``start``, and last ``separate``, the disequation t0 != s0.
+``crosscheck --corrupt`` drops that last conjunct.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from dataclasses import dataclass
 from .syntax import (
     And,
     Branch,
-    ConstTrue,
     Exists,
     Formula,
     HenkinPrefix,
@@ -43,11 +49,12 @@ __all__ = [
     "PlanRow",
     "RowPlan",
     "plan_rows",
-    "same_letter_constraint",
+    "clauses",
     "separation_clauses",
-    "separation_constraint",
     "compile",
 ]
+
+Clauses = list[tuple[str, Formula]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,146 +66,94 @@ class PlanRow:
 
 @dataclass(frozen=True, slots=True)
 class RowPlan:
-    """The row layout for one compiled instance."""
+    """The row layout for one compiled instance: each equation's (left
+    word rows, right word rows), then the query's designated rows."""
 
-    rows: tuple[PlanRow, ...]
-    equations: tuple[Equation, ...]
-    query: Equation
-    t_vars: tuple[Variable, ...]
-    s_vars: tuple[Variable, ...]
-    lhs_offsets: tuple[int, ...]
-    rhs_offsets: tuple[int, ...]
-    qstart: int
+    equations: tuple[tuple[tuple[PlanRow, ...], tuple[PlanRow, ...]], ...]
+    designated: tuple[PlanRow, ...]
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[PlanRow, ...]:
+        """Every row in prefix order."""
+        return tuple(r for lhs, rhs in self.equations for r in lhs + rhs) + self.designated
 
-    def lhs_rows(self, i: int) -> tuple[PlanRow, ...]:
-        start = self.lhs_offsets[i]
-        return self.rows[start : start + len(self.equations[i].lhs)]
 
-    def rhs_rows(self, i: int) -> tuple[PlanRow, ...]:
-        start = self.rhs_offsets[i]
-        return self.rows[start : start + len(self.equations[i].rhs)]
+def _word_rows(word: str, uni: str, ex: str, i: int) -> tuple[PlanRow, ...]:
+    return tuple(
+        PlanRow(Variable(f"{uni}{i}_{j}"), Variable(f"{ex}{i}_{j}"), ch)
+        for j, ch in enumerate(word, start=1)
+    )
 
 
 def plan_rows(presentation: Presentation, query: Equation) -> RowPlan:
-    rows: list[PlanRow] = []
-    lhs_offsets: list[int] = []
-    rhs_offsets: list[int] = []
-    for i, eq in enumerate(presentation.equations, start=1):
-        lhs_offsets.append(len(rows))
-        for j, ch in enumerate(eq.lhs, start=1):
-            rows.append(PlanRow(Variable(f"x{i}_{j}"), Variable(f"y{i}_{j}"), ch))
-        rhs_offsets.append(len(rows))
-        for j, ch in enumerate(eq.rhs, start=1):
-            rows.append(PlanRow(Variable(f"z{i}_{j}"), Variable(f"r{i}_{j}"), ch))
-    qstart = len(rows)
-    seen: list[str] = []
-    for ch in query.lhs + query.rhs:
-        if ch not in seen:
-            seen.append(ch)
-    for ch in seen:
-        rows.append(PlanRow(Variable(f"u_{ch}"), Variable(f"e_{ch}"), ch))
-    t_vars = tuple(Variable(f"t{j}") for j in range(len(query.lhs) + 1))
-    s_vars = tuple(Variable(f"s{j}") for j in range(len(query.rhs) + 1))
-    return RowPlan(
-        tuple(rows),
-        presentation.equations,
-        query,
-        t_vars,
-        s_vars,
-        tuple(lhs_offsets),
-        tuple(rhs_offsets),
-        qstart,
+    equations = tuple(
+        (_word_rows(eq.lhs, "x", "y", i), _word_rows(eq.rhs, "z", "r", i))
+        for i, eq in enumerate(presentation.equations, start=1)
     )
+    letters = dict.fromkeys(query.lhs + query.rhs)
+    designated = tuple(PlanRow(Variable(f"u_{ch}"), Variable(f"e_{ch}"), ch) for ch in letters)
+    return RowPlan(equations, designated)
 
 
-def same_letter_constraint(plan: RowPlan) -> Formula:
-    """Rows carrying one letter compute one function.
+def clauses(plan: RowPlan) -> Clauses:
+    """The ``same-letter`` clauses, then one ``equation`` clause per equation.
 
-    One implication per unordered pair of same-letter rows, in row order:
-    equal inputs force equal outputs.
+    Same-letter: one implication per unordered pair of rows carrying one
+    letter, in row order; equal inputs force equal outputs, so the rows
+    compute one function.  Equation i: given the chain links of both
+    words, equal start points force equal end points.
     """
     rows = plan.rows
-    clauses = []
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            if rows[a].letter == rows[b].letter:
-                clauses.append(
-                    Implies(
-                        equal(rows[a].universal, rows[b].universal),
-                        equal(rows[a].existential, rows[b].existential),
-                    )
-                )
-    return conjoin(clauses)
-
-
-def _equation_constraint_at(plan: RowPlan, i: int) -> Formula:
-    """The constraint forcing equation i of the plan to hold on its own rows."""
-    eq = plan.equations[i]
-    lhs = plan.lhs_rows(i)
-    rhs = plan.rhs_rows(i)
-    chain = []
-    for j in range(len(lhs) - 1):
-        chain.append(equal(lhs[j].universal, lhs[j + 1].existential))
-    for j in range(len(rhs) - 1):
-        chain.append(equal(rhs[j].universal, rhs[j + 1].existential))
-    inner = Implies(
-        equal(lhs[-1].universal, rhs[-1].universal),
-        equal(lhs[0].existential, rhs[0].existential),
-    )
-    if not chain:
-        return inner
-    return Implies(conjoin(chain), inner)
+    out: Clauses = []
+    for a, r in enumerate(rows):
+        for q in rows[a + 1 :]:
+            if r.letter == q.letter:
+                agree = Implies(equal(r.universal, q.universal), equal(r.existential, q.existential))
+                out.append((f"same-letter:{r.letter}:{r.universal.name},{q.universal.name}", agree))
+    for i, (lhs, rhs) in enumerate(plan.equations, start=1):
+        chain = [equal(a.universal, b.existential) for w in (lhs, rhs) for a, b in zip(w, w[1:])]
+        inner = Implies(
+            equal(lhs[-1].universal, rhs[-1].universal),
+            equal(lhs[0].existential, rhs[0].existential),
+        )
+        out.append((f"equation:{i}", Implies(conjoin(chain), inner) if chain else inner))
+    return out
 
 
 def separation_clauses(
-    query: Equation,
-    designated: dict[str, tuple[Variable, Variable]],
-    t_vars: tuple[Variable, ...],
-    s_vars: tuple[Variable, ...],
-) -> list[Formula]:
-    """The clause list tracing both query words and demanding separation.
+    query: Equation, designated: dict[str, tuple[Variable, Variable]]
+) -> tuple[tuple[Variable, ...], Clauses]:
+    """The spine t0..tl, s0..sk and the clauses tracing both query words.
 
     ``designated`` maps each query letter to the (universal, existential)
-    pair of its designated row.  Clause i for the left word pins the step
-    from t_i to t_{i-1}; likewise the right word over the s variables.
-    The last two clauses equate the start points and separate the ends.
+    pair of its designated row.  ``trace:tj`` pins the step from t_j to
+    t_{j-1} by the left word's letter j; likewise ``trace:sj`` for the
+    right word.  ``start`` equates the start points and ``separate``,
+    last, separates the ends.
     """
-    clauses: list[Formula] = []
-    for i, ch in enumerate(query.lhs, start=1):
-        u, e = designated[ch]
-        clauses.append(Implies(equal(u, t_vars[i]), equal(e, t_vars[i - 1])))
-    for i, ch in enumerate(query.rhs, start=1):
-        u, e = designated[ch]
-        clauses.append(Implies(equal(u, s_vars[i]), equal(e, s_vars[i - 1])))
-    clauses.append(equal(t_vars[-1], s_vars[-1]))
-    clauses.append(not_equal(t_vars[0], s_vars[0]))
-    return clauses
-
-
-def separation_constraint(query: Equation, plan: RowPlan) -> And:
-    designated = {
-        row.letter: (row.universal, row.existential) for row in plan.rows[plan.qstart :]
-    }
-    return And(tuple(separation_clauses(query, designated, plan.t_vars, plan.s_vars)))
+    t = tuple(Variable(f"t{j}") for j in range(len(query.lhs) + 1))
+    s = tuple(Variable(f"s{j}") for j in range(len(query.rhs) + 1))
+    out: Clauses = []
+    for spine, word in ((t, query.lhs), (s, query.rhs)):
+        for j, ch in enumerate(word, start=1):
+            u, e = designated[ch]
+            step = Implies(equal(u, spine[j]), equal(e, spine[j - 1]))
+            out.append((f"trace:{spine[j].name}", step))
+    out.append(("start", equal(t[-1], s[-1])))
+    out.append(("separate", not_equal(t[0], s[0])))
+    return t + s, out
 
 
 def compile(presentation: Presentation, query: Equation) -> Exists:
     """The full sentence for one separation instance."""
     plan = plan_rows(presentation, query)
+    rows = plan.rows
     prefix = HenkinPrefix(
-        tuple(r.universal for r in plan.rows),
-        tuple(r.existential for r in plan.rows),
-        tuple((r.universal,) for r in plan.rows),
+        tuple(r.universal for r in rows),
+        tuple(r.existential for r in rows),
+        tuple((r.universal,) for r in rows),
     )
-    parts: list[Formula] = []
-    agree = same_letter_constraint(plan)
-    if not isinstance(agree, ConstTrue):
-        parts.append(agree)
-    for i in range(len(plan.equations)):
-        parts.append(_equation_constraint_at(plan, i))
-    parts.append(separation_constraint(query, plan))
-    return Exists(plan.t_vars + plan.s_vars, Branch(prefix, conjoin(parts)))
+    designated = {r.letter: (r.universal, r.existential) for r in plan.designated}
+    spine, trace = separation_clauses(query, designated)
+    matrix = And(tuple(f for _, f in clauses(plan) + trace))
+    return Exists(spine, Branch(prefix, matrix))

@@ -38,7 +38,7 @@ from henkin.fixtures import (
     ceitin_h12_clauses,
     ceitin_h12_prefix,
 )
-from henkin.reducer import plan_rows, same_letter_constraint
+from henkin.reducer import clauses, plan_rows
 
 from _corpus import CROSSCHECK_INSTANCES, agreement_corpus, all_suite_formulas, collapse_cases
 
@@ -75,9 +75,11 @@ def test_fixture_prefix_sizes():
             assert len(en.universals) == 2
 
         canon = Presentation.of([Equation("aa", "a"), Equation("bb", "b")])
-        assert plan_rows(canon, Equation("ab", "ba")).n == 8
-        assert plan_rows(Presentation.of([]), Equation("a", "a")).n == 1
-        assert len(same_letter_constraint(plan_rows(canon, Equation("ab", "ba"))).items) == 12
+        plan = plan_rows(canon, Equation("ab", "ba"))
+        assert len(plan.rows) == 8
+        assert len(plan_rows(Presentation.of([]), Equation("a", "a")).rows) == 1
+        labels = [label for label, _ in clauses(plan)]
+        assert sum(label.startswith("same-letter:") for label in labels) == 12
 
 
 def test_finiteness_sentence():

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 
@@ -81,6 +82,20 @@ class TestEval:
         assert code == 4
         assert "error:" in capsys.readouterr().err
 
+    def test_naive_budget_bounds_table_cells(self, capsys):
+        # 10^6 cells at m=1000: the budget must stop the naive engine before
+        # it lists them all.
+        argv = ["eval", "--naive", "--expr", "H{ forall x y ; w(x y) } . true"]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--size", "1000", "--budget", "10"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert "budget of 10 nodes exceeded" in capsys.readouterr().err
+        assert peak < 5_000_000
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -162,6 +177,12 @@ class TestSat:
         assert main(["sat", "--expr", "exists x . x != x", "--max-size", "3"]) == 1
         assert capsys.readouterr().out == "none up to 3\n"
 
+    def test_budget_bounds_sizes_without_search(self, capsys):
+        # ``false`` runs no quantifier; each size tried still costs a node.
+        argv = ["sat", "--expr", "false", "--max-size", "1000000000", "--budget", "10"]
+        assert main(argv) == 4
+        assert "at domain size 11" in capsys.readouterr().err
+
 
 class TestCompile:
     def test_output_reparses(self, capsys, canon_file):
@@ -239,6 +260,16 @@ class TestCrosscheck:
         assert capsys.readouterr().out.splitlines() == [
             "m=1: eval=true oracle=none MISMATCH"
         ]
+
+    @pytest.mark.parametrize("equations, query, smallest", CROSSCHECK_INSTANCES)
+    def test_corrupt_reports_mismatch_on_every_instance(
+        self, capsys, tmp_path, equations, query, smallest
+    ):
+        path = tmp_path / "presentation.txt"
+        path.write_text("".join(f"{a} = {b}\n" for a, b in equations), encoding="ascii")
+        argv = ["--presentation", str(path), "--query", " = ".join(query), "--max-size", "1"]
+        assert main(["crosscheck", "--corrupt"] + argv) == 3
+        assert capsys.readouterr().out == "m=1: eval=true oracle=none MISMATCH\n"
 
 
 class TestFixture:

@@ -138,6 +138,12 @@ class TestBudget:
         assert info.value.at_size == 3
         assert "at domain size" in str(info.value)
 
+    def test_find_min_model_charges_each_size(self):
+        # No size of ``false`` runs a search, so only the per-size node counts.
+        with pytest.raises(BudgetExceeded) as info:
+            find_min_model(P("false"), 1000, budget=Budget(10))
+        assert info.value.at_size == 11
+
 
 class TestFindMinModel:
     def test_finds_smallest(self):

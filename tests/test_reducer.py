@@ -1,23 +1,24 @@
+import pytest
+
 from henkin import (
     And,
     Branch,
-    ConstTrue,
     Equation,
     Exists,
     EqualAtom,
     Implies,
     Not,
     Presentation,
+    ceitin_presentation,
     compile_instance,
     evaluate,
+    identity_check_failures,
+    not_equal,
     validate,
 )
-from henkin.reducer import (
-    plan_rows,
-    same_letter_constraint,
-    separation_clauses,
-    separation_constraint,
-)
+from henkin.reducer import clauses, plan_rows, separation_clauses
+
+from _corpus import CROSSCHECK_INSTANCES, TINY_INSTANCES
 
 
 CANON = Presentation.of([Equation("aa", "a"), Equation("bb", "b")])
@@ -35,20 +36,37 @@ CEITIN = Presentation.of(
     ]
 )
 
+# Every instance the suite compiles, plus the Ceitin presentation with a
+# commutation query.
+_PAIRS = dict.fromkeys(
+    [(tuple(e), q) for e, q, _ in CROSSCHECK_INSTANCES] + [(tuple(e), q) for e, q in TINY_INSTANCES]
+)
+INSTANCES = [(Presentation.of(list(e)), Equation(*q)) for e, q in _PAIRS] + [
+    (ceitin_presentation(), Equation("ab", "ba"))
+]
+
+
+def labeled(plan, kind: str):
+    """The formulas of ``clauses(plan)`` whose label starts with ``kind:``."""
+    return [f for label, f in clauses(plan) if label.startswith(kind + ":")]
+
+
+def designated(plan):
+    return {r.letter: (r.universal, r.existential) for r in plan.designated}
+
 
 class TestPlan:
     def test_row_counts(self):
-        assert plan_rows(CANON, CANON_QUERY).n == 8
-        assert plan_rows(Presentation.of([]), Equation("a", "a")).n == 1
-        assert plan_rows(CEITIN, Equation("a", "b")).n == 35
+        assert len(plan_rows(CANON, CANON_QUERY).rows) == 8
+        assert len(plan_rows(Presentation.of([]), Equation("a", "a")).rows) == 1
+        assert len(plan_rows(CEITIN, Equation("a", "b")).rows) == 35
 
     def test_equation_row_names_and_letters(self):
         plan = plan_rows(CEITIN, Equation("a", "b"))
-        first = plan.lhs_rows(0)
+        first, right = plan.equations[0]
         assert [r.universal.name for r in first] == ["x1_1", "x1_2"]
         assert [r.existential.name for r in first] == ["y1_1", "y1_2"]
         assert [r.letter for r in first] == ["a", "c"]
-        right = plan.rhs_rows(0)
         assert [r.universal.name for r in right] == ["z1_1", "z1_2"]
         assert [r.letter for r in right] == ["c", "a"]
 
@@ -56,16 +74,16 @@ class TestPlan:
         # A row's names say where it comes from: equation i's left (x, y) or
         # right (z, r) word at position j, or a query letter (u, e).
         plan = plan_rows(CANON, CANON_QUERY)
-        assert plan.lhs_rows(0)[0].universal.name == "x1_1"
-        assert plan.rhs_rows(1)[0].existential.name == "r2_1"
+        assert plan.equations[0][0][0].universal.name == "x1_1"
+        assert plan.equations[1][1][0].existential.name == "r2_1"
         assert plan.rows[-1].universal.name in ("u_a", "u_b")
 
     def test_designated_rows_follow_first_occurrence(self):
         ab = plan_rows(Presentation.of([]), Equation("ab", "ba"))
-        assert [r.letter for r in ab.rows[ab.qstart :]] == ["a", "b"]
+        assert [r.letter for r in ab.designated] == ["a", "b"]
         ba = plan_rows(Presentation.of([]), Equation("ba", "ab"))
-        assert [r.letter for r in ba.rows[ba.qstart :]] == ["b", "a"]
-        assert [(r.universal.name, r.existential.name) for r in ba.rows[ba.qstart :]] == [
+        assert [r.letter for r in ba.designated] == ["b", "a"]
+        assert [(r.universal.name, r.existential.name) for r in ba.designated] == [
             ("u_b", "e_b"),
             ("u_a", "e_a"),
         ]
@@ -74,41 +92,48 @@ class TestPlan:
         # A letter of the presentation that the query does not use gets no
         # designated row.
         plan = plan_rows(Presentation.of([Equation("cc", "c")]), Equation("a", "b"))
-        assert [r.letter for r in plan.rows[plan.qstart :]] == ["a", "b"]
+        assert [r.letter for r in plan.designated] == ["a", "b"]
 
     def test_spine_lengths_follow_query(self):
         plan = plan_rows(CANON, CANON_QUERY)
-        assert [t.name for t in plan.t_vars] == ["t0", "t1", "t2"]
-        assert [s.name for s in plan.s_vars] == ["s0", "s1", "s2"]
+        spine, _ = separation_clauses(CANON_QUERY, designated(plan))
+        assert [v.name for v in spine] == ["t0", "t1", "t2", "s0", "s1", "s2"]
         short = plan_rows(Presentation.of([]), Equation("a", "a"))
-        assert [t.name for t in short.t_vars] == ["t0", "t1"]
+        spine, _ = separation_clauses(Equation("a", "a"), designated(short))
+        assert [v.name for v in spine] == ["t0", "t1", "s0", "s1"]
 
 
 class TestSameLetter:
     def test_pair_count_for_canonical_instance(self):
-        phi = same_letter_constraint(plan_rows(CANON, CANON_QUERY))
-        assert isinstance(phi, And)
-        assert len(phi.items) == 12
+        assert len(labeled(plan_rows(CANON, CANON_QUERY), "same-letter")) == 12
 
     def test_single_row_has_no_pairs(self):
         plan = plan_rows(Presentation.of([]), Equation("a", "b"))
-        assert same_letter_constraint(plan) == ConstTrue()
+        assert labeled(plan, "same-letter") == []
 
     def test_pairs_within_one_letter(self):
         plan = plan_rows(Presentation.of([Equation("aa", "a")]), Equation("a", "a"))
-        phi = same_letter_constraint(plan)
+        pairs = labeled(plan, "same-letter")
         # four rows share letter a: C(4,2) = 6 implications
-        assert len(phi.items) == 6
-        first = phi.items[0]
+        assert len(pairs) == 6
+        first = pairs[0]
         assert isinstance(first, Implies)
         assert isinstance(first.antecedent, EqualAtom)
         assert isinstance(first.consequent, EqualAtom)
 
+    def test_label_names_letter_and_both_rows(self):
+        plan = plan_rows(Presentation.of([Equation("aa", "a")]), Equation("a", "a"))
+        for label, f in clauses(plan):
+            if label.startswith("same-letter:"):
+                _, letter, rows = label.split(":")
+                assert letter == "a"
+                assert rows.split(",") == [f.antecedent.left.name, f.antecedent.right.name]
+        assert clauses(plan)[0][0] == "same-letter:a:x1_1,x1_2"
+
 
 def equation_clauses(presentation: Presentation, query: Equation):
-    """The compiled sentence's equation clauses, in presentation order."""
-    matrix = compile_instance(presentation, query).body.body
-    return matrix.items[-1 - len(presentation.equations) : -1]
+    """The ``equation:i`` clauses, in presentation order."""
+    return labeled(plan_rows(presentation, query), "equation")
 
 
 def names_in(f) -> set[str]:
@@ -153,19 +178,22 @@ class TestEquationConstraint:
 class TestSeparation:
     def test_clause_count_and_shape(self):
         plan = plan_rows(CANON, CANON_QUERY)
-        designated = {r.letter: (r.universal, r.existential) for r in plan.rows[plan.qstart :]}
-        clauses = separation_clauses(CANON_QUERY, designated, plan.t_vars, plan.s_vars)
-        assert len(clauses) == len(CANON_QUERY.lhs) + len(CANON_QUERY.rhs) + 2
-        first = clauses[0]
-        assert isinstance(first, Implies)
-        assert isinstance(clauses[-2], EqualAtom)
-        assert isinstance(clauses[-1], Not)
+        _, trace = separation_clauses(CANON_QUERY, designated(plan))
+        assert len(trace) == len(CANON_QUERY.lhs) + len(CANON_QUERY.rhs) + 2
+        assert [label for label, _ in trace] == [
+            "trace:t1", "trace:t2", "trace:s1", "trace:s2", "start", "separate",
+        ]
+        assert isinstance(trace[0][1], Implies)
+        assert isinstance(trace[-2][1], EqualAtom)
+        assert isinstance(trace[-1][1], Not)
 
     def test_constraint_is_conjunction(self):
+        matrix = compile_instance(CANON, CANON_QUERY).body.body
         plan = plan_rows(CANON, CANON_QUERY)
-        phi = separation_constraint(CANON_QUERY, plan)
-        assert isinstance(phi, And)
-        assert len(phi.items) == 4 + 2  # |ab| + |ba| + endpoint glue
+        _, trace = separation_clauses(CANON_QUERY, designated(plan))
+        assert isinstance(matrix, And)
+        assert len(trace) == 4 + 2  # |ab| + |ba| + endpoint glue
+        assert matrix.items[-6:] == tuple(f for _, f in trace)
 
 
 class TestCompile:
@@ -182,7 +210,8 @@ class TestCompile:
             assert d[0] == u
         matrix = br.body
         assert isinstance(matrix, And)
-        assert len(matrix.items) == 4  # pairings, two equations, separation
+        # 12 pairings, two equations, 4 trace steps, start, separate
+        assert len(matrix.items) == 12 + 2 + 4 + 2
 
     def test_shape_degenerate(self):
         f = compile_instance(Presentation.of([]), Equation("a", "a"))
@@ -205,6 +234,45 @@ class TestCompile:
         br = f.body
         assert len(br.prefix.universals) == 35
         assert len(f.variables) == 4  # t0 t1 s0 s1
+
+
+@pytest.mark.parametrize("presentation, query", INSTANCES)
+class TestLabeledMatrix:
+    def test_matrix_is_the_labeled_clause_list(self, presentation, query):
+        plan = plan_rows(presentation, query)
+        spine, trace = separation_clauses(query, designated(plan))
+        labels = [label for label, _ in clauses(plan) + trace]
+        assert len(set(labels)) == len(labels)
+        kinds = [label.split(":")[0] for label in labels]
+        order = ["same-letter", "equation", "trace", "start", "separate"]
+        assert kinds == sorted(kinds, key=order.index)
+        assert kinds.count("equation") == len(presentation.equations)
+        f = compile_instance(presentation, query)
+        assert f.variables == spine
+        assert f.body.body.items == tuple(g for _, g in clauses(plan) + trace)
+
+    def test_flat_and_ending_in_separate(self, presentation, query):
+        matrix = compile_instance(presentation, query).body.body
+        assert isinstance(matrix, And)
+        assert not any(isinstance(g, And) for g in matrix.items)
+        assert matrix.items[-1] == not_equal("t0", "s0")
+
+    def test_identity_tables_satisfy_row_clauses(self, presentation, query):
+        prefix = compile_instance(presentation, query).body.prefix
+        plan = plan_rows(presentation, query)
+        assert identity_check_failures(clauses(plan), prefix, 3) == []
+
+
+class TestSharedChecker:
+    def test_mutant_equation_comes_back_by_label(self):
+        plan = plan_rows(CANON, CANON_QUERY)
+        prefix = compile_instance(CANON, CANON_QUERY).body.prefix
+        mutant = []
+        for label, f in clauses(plan):
+            if label == "equation:1":
+                f = Implies(f.antecedent, Implies(f.consequent.antecedent, Not(f.consequent.consequent)))
+            mutant.append((label, f))
+        assert identity_check_failures(mutant, prefix, 2) == ["equation:1"]
 
 
 class TestSoundnessSpot:
