@@ -38,8 +38,8 @@ class Budget:
         self.limit = limit
         self.remaining = limit
 
-    def charge(self, amount: int = 1) -> None:
-        self.remaining -= amount
+    def charge(self) -> None:
+        self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExceeded(self.limit)
 

@@ -65,6 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--expr", help="formula given inline instead of a file")
 
+    def instance(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--presentation", required=True, help="file of 'word = word' lines")
+        p.add_argument("--query", required=True, help="query equation, e.g. 'ab = ba'")
+
+    def budget(p: argparse.ArgumentParser, text: str) -> None:
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=text)
+
     p_eval = sub.add_parser("eval", help="decide a formula on one domain size")
     formula_source(p_eval)
     p_eval.add_argument("--size", type=int, required=True, help="domain size, at least 1")
@@ -76,30 +83,26 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="when true, print choice tables for the outer existential spine",
     )
-    p_eval.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search step limit")
+    budget(p_eval, "search step limit")
 
     p_sat = sub.add_parser("sat", help="smallest domain size making the formula true")
     formula_source(p_sat)
     p_sat.add_argument("--max-size", type=int, required=True, help="largest size to try")
-    p_sat.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search step limit")
+    budget(p_sat, "search step limit")
 
-    p_compile = sub.add_parser("compile", help="compile a presentation and query to a sentence")
-    p_compile.add_argument("--presentation", required=True, help="file of 'word = word' lines")
-    p_compile.add_argument("--query", required=True, help="query equation, e.g. 'ab = ba'")
+    instance(sub.add_parser("compile", help="compile a presentation and query to a sentence"))
 
     p_oracle = sub.add_parser("oracle", help="brute-force a separating model")
-    p_oracle.add_argument("--presentation", required=True, help="file of 'word = word' lines")
-    p_oracle.add_argument("--query", required=True, help="query equation, e.g. 'ab = ba'")
+    instance(p_oracle)
     p_oracle.add_argument("--max-size", type=int, required=True, help="largest size to try")
-    p_oracle.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search step limit")
+    budget(p_oracle, "search step limit")
 
     p_cross = sub.add_parser(
         "crosscheck", help="compare the compiled sentence against the brute-force model search"
     )
-    p_cross.add_argument("--presentation", required=True, help="file of 'word = word' lines")
-    p_cross.add_argument("--query", required=True, help="query equation, e.g. 'ab = ba'")
+    instance(p_cross)
     p_cross.add_argument("--max-size", type=int, required=True, help="largest size to compare")
-    p_cross.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="per-size step limit")
+    budget(p_cross, "per-size step limit")
     p_cross.add_argument(
         "--corrupt",
         action="store_true",
@@ -108,10 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_fixture = sub.add_parser("fixture", help="print a built-in formula or the presentation")
-    p_fixture.add_argument(
-        "name",
-        choices=["ceitin-h12", "ceitin-e10", "ceitin-presentation", "ehrenfeucht", "infinity"],
-    )
+    p_fixture.add_argument("name", choices=list(_FIXTURES))
     return parser
 
 
@@ -151,19 +151,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     f = parse_formula(_read_formula_text(args))
     _positive(args.size, "--size")
     tables = None
-    try:
-        if args.naive:
-            result = evaluate_naive(f, args.size, budget=Budget(args.budget))
-            if result and args.show_witness:
-                tables = witness_tables(f, args.size, budget=Budget(args.budget))
-        elif args.show_witness:
+    if args.naive:
+        result = evaluate_naive(f, args.size, budget=Budget(args.budget))
+        if result and args.show_witness:
             tables = witness_tables(f, args.size, budget=Budget(args.budget))
-            result = tables is not None
-        else:
-            result = evaluate(f, args.size, budget=Budget(args.budget))
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    elif args.show_witness:
+        tables = witness_tables(f, args.size, budget=Budget(args.budget))
+        result = tables is not None
+    else:
+        result = evaluate(f, args.size, budget=Budget(args.budget))
     print("true" if result else "false")
     if result and args.show_witness:
         for table in tables:
@@ -176,11 +172,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_sat(args: argparse.Namespace) -> int:
     f = parse_formula(_read_formula_text(args))
     _positive(args.max_size, "--max-size")
-    try:
-        found = find_min_model(f, args.max_size, budget=Budget(args.budget))
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    found = find_min_model(f, args.max_size, budget=Budget(args.budget))
     if found is None:
         print(f"none up to {args.max_size}")
         return EXIT_FALSE
@@ -200,16 +192,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     presentation, query = _load_instance(args)
     _positive(args.max_size, "--max-size")
     budget = Budget(args.budget)
-    try:
-        for m in range(1, args.max_size + 1):
-            witness = find_witness(presentation, query, m, budget=budget)
-            if witness is not None:
-                print(f"size: {m}")
-                print(witness.format())
-                return EXIT_TRUE
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    for m in range(1, args.max_size + 1):
+        witness = find_witness(presentation, query, m, budget=budget)
+        if witness is not None:
+            print(f"size: {m}")
+            print(witness.format())
+            return EXIT_TRUE
     print(f"none up to {args.max_size}")
     return EXIT_FALSE
 
@@ -222,12 +210,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
         sentence = _drop_separation(sentence)
     mismatch = False
     for m in range(1, args.max_size + 1):
-        try:
-            verdict = evaluate(sentence, m, budget=Budget(args.budget))
-            witness = find_witness(presentation, query, m, budget=Budget(args.budget))
-        except BudgetExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+        verdict = evaluate(sentence, m, budget=Budget(args.budget))
+        witness = find_witness(presentation, query, m, budget=Budget(args.budget))
         agree = verdict == (witness is not None)
         print(
             f"m={m}: eval={'true' if verdict else 'false'} "
@@ -239,17 +223,19 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_TRUE
 
 
+# Fixture name -> the text to print.  Each entry looks its builder up on
+# this module when called, so names swapped on the module take effect.
+_FIXTURES = {
+    "ceitin-h12": lambda: format_formula(ceitin_h12()),
+    "ceitin-e10": lambda: format_formula(ceitin_e10()),
+    "ceitin-presentation": lambda: format_presentation(ceitin_presentation()),
+    "ehrenfeucht": lambda: format_formula(ehrenfeucht_finiteness()),
+    "infinity": lambda: format_formula(infinity_sentence()),
+}
+
+
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    if args.name == "ceitin-presentation":
-        print(format_presentation(ceitin_presentation()))
-    elif args.name == "ceitin-h12":
-        print(format_formula(ceitin_h12()))
-    elif args.name == "ceitin-e10":
-        print(format_formula(ceitin_e10()))
-    elif args.name == "infinity":
-        print(format_formula(infinity_sentence()))
-    else:
-        print(format_formula(ehrenfeucht_finiteness()))
+    print(_FIXTURES[args.name]())
     return EXIT_TRUE
 
 
@@ -271,13 +257,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, UnicodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        return EXIT_BUDGET
+    except (OSError, ValueError) as exc:
+        # ParseError and UnicodeError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -393,9 +393,6 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
     return value
 
 
-_MISSING = object()
-
-
 def _neval(f: Formula, env: dict[str, int], m: int, budget: Budget) -> bool:
     if isinstance(f, EqualAtom):
         return env[f.left.name] == env[f.right.name]
@@ -416,18 +413,17 @@ def _neval(f: Formula, env: dict[str, int], m: int, budget: Budget) -> bool:
     if isinstance(f, Iff):
         return _neval(f.left, env, m, budget) == _neval(f.right, env, m, budget)
     if isinstance(f, (ForAll, Exists)):
+        # The block binds its variables in a copy, so the caller's env
+        # keeps its own bindings.
         want = isinstance(f, Exists)
         names = [v.name for v in f.variables]
-        saved = {name: env.get(name, _MISSING) for name in names}
-        try:
-            for values in itertools.product(range(m), repeat=len(names)):
-                budget.charge()
-                env.update(zip(names, values))
-                if _neval(f.body, env, m, budget) == want:
-                    return want
-            return not want
-        finally:
-            _restore(env, saved)
+        env = dict(env)
+        for values in itertools.product(range(m), repeat=len(names)):
+            budget.charge()
+            env.update(zip(names, values))
+            if _neval(f.body, env, m, budget) == want:
+                return want
+        return not want
     if isinstance(f, Branch):
         return _naive_branch(f, env, m, budget)
     raise TypeError(f"not a formula: {f!r}")
@@ -445,8 +441,7 @@ def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> boo
         for key in itertools.product(range(m), repeat=len(deps)):
             budget.charge()
             cells.append((tab, key))
-    touched = uni + [e.name for e, _ in exis]
-    saved = {name: env.get(name, _MISSING) for name in touched}
+    env = dict(env)  # the prefix binds its variables in a copy too
 
     def check_all() -> bool:
         for combo in itertools.product(range(m), repeat=len(uni)):
@@ -459,25 +454,13 @@ def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> boo
                 return False
         return True
 
-    try:
-        for values in itertools.product(range(m), repeat=len(cells)):
-            budget.charge()
-            for (tab, key), val in zip(cells, values):
-                tab[key] = val
-            if check_all():
-                return True
-        return False
-    finally:
-        _restore(env, saved)
-
-
-def _restore(env: dict[str, int], saved: dict[str, object]) -> None:
-    """Put back the bindings ``saved`` took from ``env``, dropping new ones."""
-    for name, val in saved.items():
-        if val is _MISSING:
-            env.pop(name, None)
-        else:
-            env[name] = val
+    for values in itertools.product(range(m), repeat=len(cells)):
+        budget.charge()
+        for (tab, key), val in zip(cells, values):
+            tab[key] = val
+        if check_all():
+            return True
+    return False
 
 
 def _prepare(f: Formula, size: int, env) -> dict[str, int]:
@@ -527,7 +510,7 @@ def evaluate_naive(f: Formula, size: int, env=None, budget: Budget | None = None
     """Decide truth with the reference engine; use only on small instances."""
     bound = _prepare(f, size, env)
     budget = budget if budget is not None else Budget()
-    return _neval(f, dict(bound), size, budget)
+    return _neval(f, bound, size, budget)
 
 
 def find_min_model(f: Formula, max_size: int, budget: Budget | None = None) -> int | None:

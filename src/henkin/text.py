@@ -86,7 +86,6 @@ class ParseError(ValueError):
     """A syntax error with a 1-based line:column position."""
 
     def __init__(self, message: str, span: SourceSpan | None = None):
-        self.bare_message = message
         self.span = span
         if span is not None:
             message = f"{span.line}:{span.column}: {message}"
@@ -429,7 +428,7 @@ def _word(segment: str, lineno: int, base_col: int, side: str, anchor_col: int) 
     return stripped
 
 
-def parse_equation_line(line: str, lineno: int = 1) -> Equation:
+def parse_equation_line(line: str, lineno: int) -> Equation:
     bare = line.split("#", 1)[0]
     if "=" not in bare:
         col = len(bare) - len(bare.lstrip()) + 1
@@ -441,14 +440,21 @@ def parse_equation_line(line: str, lineno: int = 1) -> Equation:
     return Equation(lhs, rhs)
 
 
+def _numbered_lines(source: str) -> list[tuple[int, str]]:
+    """The lines of ``source`` that hold more than a comment, numbered from 1."""
+    lines = enumerate(source.splitlines(), start=1)
+    return [(lineno, raw) for lineno, raw in lines if raw.split("#", 1)[0].strip()]
+
+
 def parse_equation(source: str) -> Equation:
     """Parse a single ``word = word`` equation."""
-    lines = [ln for ln in source.splitlines() if ln.split("#", 1)[0].strip()]
+    lines = _numbered_lines(source)
     if not lines:
         raise ParseError("expected 'word = word'", SourceSpan(1, 1))
     if len(lines) > 1:
-        raise ParseError("expected a single equation", SourceSpan(2, 1))
-    return parse_equation_line(lines[0], 1)
+        raise ParseError("expected a single equation", SourceSpan(lines[1][0], 1))
+    lineno, raw = lines[0]
+    return parse_equation_line(raw, lineno)
 
 
 def parse_presentation(source: str) -> Presentation:
@@ -457,12 +463,8 @@ def parse_presentation(source: str) -> Presentation:
     An input with no equations is the empty presentation; its alphabet is
     empty until combined with a query.
     """
-    equations = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        if not raw.split("#", 1)[0].strip():
-            continue
-        equations.append(parse_equation_line(raw, lineno))
-    return Presentation.of(equations)
+    lines = _numbered_lines(source)
+    return Presentation.of(parse_equation_line(raw, lineno) for lineno, raw in lines)
 
 
 def format_equation(eq: Equation) -> str:

@@ -3,12 +3,12 @@
 A word is a nonempty string of lowercase ASCII letters, each letter a
 generator.  An equation asserts that two words denote the same element in
 every model of the presentation; a presentation is a finite list of such
-equations together with the alphabet they range over.
+equations, and its alphabet is the letters they use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = ["check_word", "Equation", "Presentation"]
@@ -48,32 +48,24 @@ class Equation:
 
 @dataclass(frozen=True, slots=True)
 class Presentation:
-    """A finite semigroup presentation: equations over an alphabet.
-
-    The alphabet always contains every letter used by the equations and may
-    include extra generators that no equation mentions.
-    """
+    """A finite semigroup presentation: a list of equations."""
 
     equations: tuple[Equation, ...]
-    alphabet: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
         object.__setattr__(self, "equations", tuple(self.equations))
-        used: set[str] = set()
         for eq in self.equations:
             if not isinstance(eq, Equation):
                 raise TypeError(f"expected an Equation, got {eq!r}")
-            used |= eq.letters()
-        for ch in self.alphabet:
-            check_word(ch, "alphabet letter")
-            if len(ch) != 1:
-                raise ValueError(f"alphabet entries are single letters, got {ch!r}")
-        object.__setattr__(self, "alphabet", frozenset(self.alphabet) | used)
+
+    @property
+    def alphabet(self) -> frozenset[str]:
+        """Every letter the equations use."""
+        return frozenset().union(*(eq.letters() for eq in self.equations))
 
     @classmethod
-    def of(cls, equations: Iterable[Equation | tuple[str, str]], extra_letters: str = "") -> "Presentation":
-        eqs = tuple(e if isinstance(e, Equation) else Equation(*e) for e in equations)
-        return cls(eqs, frozenset(extra_letters))
+    def of(cls, equations: Iterable[Equation | tuple[str, str]]) -> "Presentation":
+        return cls(tuple(e if isinstance(e, Equation) else Equation(*e) for e in equations))
 
     def __str__(self) -> str:
         return "; ".join(str(eq) for eq in self.equations)

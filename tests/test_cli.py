@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import henkin
 from henkin import (
     Budget,
     Equation,
@@ -11,6 +16,7 @@ from henkin import (
     compile_instance,
     evaluate,
     format_formula,
+    infinity_sentence,
     parse_formula,
     witness_tables,
 )
@@ -216,6 +222,13 @@ class TestOracle:
         assert code == 1
         assert capsys.readouterr().out == "none up to 3\n"
 
+    def test_budget_exhausted(self, capsys, canon_file):
+        argv = ["--presentation", canon_file, "--query", "ab = ba", "--max-size", "3"]
+        assert main(["oracle"] + argv + ["--budget", "5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: search budget of 5 nodes exceeded\n"
+
 
 class TestCrosscheck:
     def test_agreement(self, capsys, canon_file):
@@ -242,6 +255,16 @@ class TestCrosscheck:
         assert len(lines) == 4 and all(line.endswith(" agree") for line in lines), lines
         if smallest is not None:
             assert lines[smallest - 1].startswith(f"m={smallest}: eval=true")
+
+    def test_budget_exhausted_keeps_the_sizes_before(self, capsys, canon_file):
+        argv = ["--presentation", canon_file, "--query", "ab = ba", "--max-size", "4"]
+        assert main(["crosscheck"] + argv + ["--budget", "300"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "m=1: eval=false oracle=none agree",
+            "m=2: eval=true oracle=witness agree",
+        ]
+        assert captured.err == "error: search budget of 300 nodes exceeded\n"
 
     def test_corrupt_reports_mismatch(self, capsys, canon_file):
         code = main(
@@ -295,3 +318,30 @@ class TestFixture:
 
     def test_unknown_name(self, capsys):
         assert main(["fixture", "nonesuch"]) == 2
+
+
+class TestInstalledEntryPoint:
+    """``python -m henkin`` runs ``cli.entry``, which exits with ``main``'s code."""
+
+    def run(self, *argv):
+        src = str(Path(henkin.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run(
+            [sys.executable, "-m", "henkin", *argv], capture_output=True, text=True, env=env
+        )
+
+    def test_fixture_prints_a_parseable_sentence(self):
+        done = self.run("fixture", "infinity")
+        assert done.returncode == 0
+        assert parse_formula(done.stdout) == infinity_sentence()
+
+    def test_parse_error_exits_2(self):
+        done = self.run("eval", "--expr", "(", "--size", "1")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: 1:2:")
+
+    def test_budget_exhausted_exits_4(self):
+        done = self.run("sat", "--expr", "false", "--max-size", "100", "--budget", "10")
+        assert done.returncode == 4
+        assert done.stderr == "error: search budget of 10 nodes exceeded at domain size 11\n"

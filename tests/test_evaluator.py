@@ -99,6 +99,20 @@ class TestEnvironment:
         assert evaluate(f, 3, env={"x": 1, "y": 2}) is False
         assert evaluate_naive(f, 3, env={Variable("x"): 0, "y": 0}) is True
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "forall x y . x = y -> (forall x . true) & x = y",
+            "forall x y . x = y -> (H{ forall x ; z(x) } . true) & x = y",
+        ],
+        ids=["block", "prefix"],
+    )
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_shadowing_binding_ends_with_its_scope(self, text, m):
+        f = P(text)
+        assert evaluate(f, m) is True
+        assert evaluate_naive(f, m) is True
+
     def test_unbound_free_variable_rejected(self):
         with pytest.raises(ValueError, match="unbound free variables: y"):
             evaluate(P("x = y"), 3, env={"x": 1})

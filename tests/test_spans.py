@@ -42,6 +42,7 @@ def test_cli_paths_run_under_the_tracer(spans, canon_file, capsys):
         (["crosscheck"] + instance + ["--max-size", "2"], 0),
         (["crosscheck", "--corrupt"] + instance + ["--max-size", "1"], 3),
         (["eval", "--show-witness", "--expr", "H{ forall x ; y(x) } . y = x", "--size", "2"], 0),
+        (["fixture", "ceitin-h12"], 0),
     ]
     reducer = cli.reducer
     tracer = spans.Tracer(time.perf_counter)
@@ -50,7 +51,13 @@ def test_cli_paths_run_under_the_tracer(spans, canon_file, capsys):
             assert cli.main(argv) == code, argv
     assert cli.reducer is reducer
     names = {span.name for span in tracer.spans}
-    assert {"reducer.compile", "evaluator.evaluate", "evaluator.witness", "oracle.find_witness"} <= names
+    assert {
+        "reducer.compile",
+        "evaluator.evaluate",
+        "evaluator.witness",
+        "oracle.find_witness",
+        "fixtures.build",
+    } <= names
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["reducer.rows"] == 3 * 8
     capsys.readouterr()

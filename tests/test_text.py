@@ -231,6 +231,19 @@ class TestPresentations:
         with pytest.raises(ParseError):
             parse_equation("   # just a comment")
 
+    @pytest.mark.parametrize(
+        "text, fragment, position",
+        [
+            ("\nab = b1", "contains '1'", "2:7"),
+            ("a = b\n\n\nc = d", "single equation", "4:1"),
+        ],
+    )
+    def test_parse_equation_error_lines(self, text, fragment, position):
+        with pytest.raises(ParseError) as info:
+            parse_equation(text)
+        assert fragment in str(info.value)
+        assert str(info.value).startswith(position + ":")
+
 
 # Each shape opens one nesting level per repeat of its opener.
 NESTED = {
