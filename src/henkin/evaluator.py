@@ -45,8 +45,9 @@ small instances.
 the outer ``exists`` spine stay in their slots when the search succeeds,
 and every successful branch search records its cell values on the
 compile context, the last one being the branched prefix at the end of
-the spine; cells no instance reads are reported as 0.
-Its verdict and its budget spend are therefore exactly ``evaluate``'s.
+the spine; cells no instance reads are reported as 0, at one node each.
+So its verdict is ``evaluate``'s, and so is its budget spend when every
+existential appears in the matrix.
 
 Both engines charge their search steps against a ``Budget`` and raise
 ``BudgetExceeded`` rather than run away.  Results are deterministic.
@@ -54,7 +55,6 @@ Both engines charge their search steps against a ``Budget`` and raise
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .budget import Budget, BudgetExceeded
@@ -226,7 +226,8 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
 def _assignments(k: int, m: int, top: int):
     """Values for a block of ``k`` variables, in lexicographic order, each at
     most one above the largest value before it; ``top`` is the largest value
-    bound outside the block, -1 if none."""
+    bound outside the block, -1 if none, and at ``m - 1`` lets every tuple
+    through, one at a time."""
     vals = [0] * k
     # highs[i] is the largest of top and vals[:i].
     highs = [top] + [max(top, 0)] * (k - 1)
@@ -303,12 +304,13 @@ def _ground(prog: _BranchProgram, m: int, charge):
     for exs, keyed, loose, test in prog.conjuncts:
         keyed_slots = tuple(prog.uni_slots[j] for j in keyed)
         shared = (keyed_slots, tuple(prog.ex_slots[i] for i in exs), loose, test)
-        for values in itertools.product(range(m), repeat=len(keyed)):
+        # Where each existential's key sits among the keyed values.
+        picks = [(i, tuple(map(keyed.index, prog.deps[i]))) for i in exs]
+        for values in _assignments(len(keyed), m, m - 1):
             charge()
-            at = dict(zip(keyed, values))
             read = []
-            for i in exs:
-                cell = (i, tuple(at[j] for j in prog.deps[i]))
+            for i, pos in picks:
+                cell = (i, tuple(map(values.__getitem__, pos)))
                 c = cell_of.get(cell)
                 if c is None:
                     c = cell_of[cell] = len(cells)
@@ -356,7 +358,7 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
             env[s] = value[c]
         if not loose:
             return test(env)
-        for vals in itertools.product(range(m), repeat=len(loose)):
+        for vals in _assignments(len(loose), m, m - 1):
             charge()
             for s, v in zip(loose, vals):
                 env[s] = v
@@ -393,6 +395,14 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
     return value
 
 
+def _tuples(k: int, m: int):
+    """Every ``k``-tuple of values below ``m``, in lexicographic order, made
+    one at a time so that a budget stops a huge enumeration early: tuple
+    ``n`` holds the ``k`` base-``m`` digits of ``n``."""
+    weights = [m**j for j in reversed(range(k))]
+    return (tuple(n // w % m for w in weights) for n in range(m**k))
+
+
 def _neval(f: Formula, env: dict[str, int], m: int, budget: Budget) -> bool:
     if isinstance(f, EqualAtom):
         return env[f.left.name] == env[f.right.name]
@@ -418,7 +428,7 @@ def _neval(f: Formula, env: dict[str, int], m: int, budget: Budget) -> bool:
         want = isinstance(f, Exists)
         names = [v.name for v in f.variables]
         env = dict(env)
-        for values in itertools.product(range(m), repeat=len(names)):
+        for values in _tuples(len(names), m):
             budget.charge()
             env.update(zip(names, values))
             if _neval(f.body, env, m, budget) == want:
@@ -438,13 +448,13 @@ def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> boo
     # One node per cell listed, so a budget stops a huge table set early.
     cells = []
     for tab, (_, deps) in zip(tables, exis):
-        for key in itertools.product(range(m), repeat=len(deps)):
+        for key in _tuples(len(deps), m):
             budget.charge()
             cells.append((tab, key))
     env = dict(env)  # the prefix binds its variables in a copy too
 
     def check_all() -> bool:
-        for combo in itertools.product(range(m), repeat=len(uni)):
+        for combo in _tuples(len(uni), m):
             budget.charge()
             for name, val in zip(uni, combo):
                 env[name] = val
@@ -454,7 +464,7 @@ def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> boo
                 return False
         return True
 
-    for values in itertools.product(range(m), repeat=len(cells)):
+    for values in _tuples(len(cells), m):
         budget.charge()
         for (tab, key), val in zip(cells, values):
             tab[key] = val
@@ -557,11 +567,17 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
     if isinstance(node, Branch):
         # Nothing runs after the spine's final branch search succeeds, and
         # a nested branch finishes before the branch around it.
-        # Cells no instance reads get 0, so every table is total.
+        # Cells no instance reads get 0, one node each, so every table is
+        # total and the budget bounds its size.
         prog, values = ctx.found
-        tables = [dict.fromkeys(itertools.product(range(size), repeat=a), 0) for a in prog.arities]
+        tables = [{} for _ in prog.arities]
         for (e, key), val in zip(prog.ground[0], values):
             tables[e][key] = val
         for name, arity, tab in zip(prog.names, prog.arities, tables):
-            out.append(SkolemTable(name, arity, tuple(sorted(tab.items()))))
+            entries = []
+            for key in _assignments(arity, size, size - 1):
+                if key not in tab:
+                    ctx.budget.charge()
+                entries.append((key, tab.get(key, 0)))
+            out.append(SkolemTable(name, arity, tuple(entries)))
     return out

@@ -58,11 +58,12 @@ __all__ = [
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
 
-# The walks over a formula recurse per level: the parser six Python frames
-# per parenthesis, the printer and the compiled engine at most three per
-# node, the reference engine a few more per bound variable.  Refusing
-# formulas deeper than this keeps them under the default recursion limit
-# of 1000, with room for the caller's own frames.
+# The walks over a formula recurse per level: the parser seven Python frames
+# per parenthesis (five of ``binary``, then ``unary`` and ``atom``), the
+# printer and the compiled engine at most three per node, the reference
+# engine a few more per bound variable.  Refusing formulas deeper than this
+# keeps them under the default recursion limit of 1000, with room for the
+# caller's own frames.
 MAX_DEPTH = 100
 TOO_DEEP = f"formula nested more than {MAX_DEPTH} levels deep"
 
@@ -377,27 +378,30 @@ def disjoin(items: Iterable[Formula]) -> Formula:
     return Or(seq)
 
 
+def _children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of ``f``, left to right."""
+    if isinstance(f, (EqualAtom, ConstTrue, ConstFalse)):
+        return ()
+    if isinstance(f, (Not, ForAll, Exists, Branch)):
+        return (f.body,)
+    if isinstance(f, (And, Or)):
+        return f.items
+    if isinstance(f, Implies):
+        return (f.antecedent, f.consequent)
+    if isinstance(f, Iff):
+        return (f.left, f.right)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def free_variables(f: Formula) -> frozenset[Variable]:
     if isinstance(f, EqualAtom):
         return frozenset((f.left, f.right))
-    if isinstance(f, (ConstTrue, ConstFalse)):
-        return frozenset()
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, (And, Or)):
-        out: frozenset[Variable] = frozenset()
-        for g in f.items:
-            out |= free_variables(g)
-        return out
-    if isinstance(f, Implies):
-        return free_variables(f.antecedent) | free_variables(f.consequent)
-    if isinstance(f, Iff):
-        return free_variables(f.left) | free_variables(f.right)
+    out = frozenset().union(*map(free_variables, _children(f)))
     if isinstance(f, (ForAll, Exists)):
-        return free_variables(f.body) - frozenset(f.variables)
+        return out - frozenset(f.variables)
     if isinstance(f, Branch):
-        return free_variables(f.body) - frozenset(f.prefix.bound())
-    raise TypeError(f"not a formula: {f!r}")
+        return out - frozenset(f.prefix.bound())
+    return out
 
 
 def formula_depth(f: Formula) -> int:
@@ -408,20 +412,10 @@ def formula_depth(f: Formula) -> int:
     depth = 0
     level = [f]
     while True:
-        below: list[Formula] = []
-        for node in level:
-            if isinstance(node, (Not, ForAll, Exists, Branch)):
-                below.append(node.body)
-            elif isinstance(node, (And, Or)):
-                below += node.items
-            elif isinstance(node, Implies):
-                below += (node.antecedent, node.consequent)
-            elif isinstance(node, Iff):
-                below += (node.left, node.right)
-        if not below:
+        level = [g for node in level for g in _children(node)]
+        if not level:
             return depth
         depth += 1
-        level = below
 
 
 def validate(f: Formula) -> list[Diagnostic]:
@@ -449,31 +443,13 @@ def validate(f: Formula) -> list[Diagnostic]:
                 diags.append(Diagnostic("warning", f"'{v}' shadows an outer binding"))
 
     def walk(node: Formula, bound: frozenset[str]) -> None:
-        if isinstance(node, (EqualAtom, ConstTrue, ConstFalse)):
-            return
-        if isinstance(node, Not):
-            walk(node.body, bound)
-            return
-        if isinstance(node, (And, Or)):
-            if len(node.items) < 2:
-                kind = "conjunction" if isinstance(node, And) else "disjunction"
-                diags.append(Diagnostic("error", f"n-ary {kind} with {len(node.items)} operands"))
-            for g in node.items:
-                walk(g, bound)
-            return
-        if isinstance(node, Implies):
-            walk(node.antecedent, bound)
-            walk(node.consequent, bound)
-            return
-        if isinstance(node, Iff):
-            walk(node.left, bound)
-            walk(node.right, bound)
-            return
+        if isinstance(node, (And, Or)) and len(node.items) < 2:
+            kind = "conjunction" if isinstance(node, And) else "disjunction"
+            diags.append(Diagnostic("error", f"n-ary {kind} with {len(node.items)} operands"))
         if isinstance(node, (ForAll, Exists)):
             what = "forall" if isinstance(node, ForAll) else "exists"
             binder_names(node.variables, f"'{what}' block", bound)
-            walk(node.body, bound | {v.name for v in node.variables})
-            return
+            bound = bound | {v.name for v in node.variables}
         if isinstance(node, Branch):
             diags.extend(prefix_diagnostics(node.prefix))
             if not node.prefix.universals:
@@ -486,9 +462,9 @@ def validate(f: Formula) -> list[Diagnostic]:
                 if v.name in bound and v.name not in seen:
                     diags.append(Diagnostic("warning", f"'{v}' shadows an outer binding"))
                 seen.add(v.name)
-            walk(node.body, bound | {v.name for v in names})
-            return
-        raise TypeError(f"not a formula: {node!r}")
+            bound = bound | {v.name for v in names}
+        for g in _children(node):
+            walk(g, bound)
 
     walk(f, frozenset())
     return diags

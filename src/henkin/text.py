@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     And,
@@ -52,7 +53,6 @@ from .syntax import (
     HenkinPrefix,
     Iff,
     Implies,
-    InvalidPrefixError,
     MAX_DEPTH,
     Not,
     Or,
@@ -60,7 +60,7 @@ from .syntax import (
     TRUE,
     Variable,
     formula_depth,
-    mk_prefix,
+    prefix_diagnostics,
 )
 from .words import Equation, Presentation
 
@@ -92,8 +92,7 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name", "eof", or the symbol text itself
     text: str
     line: int
@@ -104,60 +103,38 @@ class _Token:
         return SourceSpan(self.line, self.column)
 
 
-_NAME_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
-_MULTI = ("<->", "->", "!=")
-_SINGLE = frozenset("(){};,.=&|~")
+# Blanks and comments, then one newline, symbol or name.  A match that
+# takes none of the three before the end of input stops at a bad character.
+_TOKEN = re.compile(
+    r"(?:[ \t\r]+|#[^\n]*)*"
+    r"(?:(?P<newline>\n)|(?P<symbol><->|->|!=|[(){};,.=&|~])|(?P<name>[A-Za-z][A-Za-z0-9_']*))?"
+)
 _RESERVED = frozenset({"forall", "exists", "true", "false"})
 
 
 def _lex(source: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        matched = False
-        for sym in _MULTI:
-            if source.startswith(sym, i):
-                toks.append(_Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _SINGLE:
-            toks.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _NAME_TOKEN.match(source, i)
-        if m:
-            text = m.group()
-            toks.append(_Token("name", text, line, col))
-            i = m.end()
-            col += len(text)
-            continue
-        span = SourceSpan(line, col)
-        if ord(ch) > 127:
-            raise ParseError(f"non-ASCII character {ch!r}", span)
-        raise ParseError(f"unexpected character {ch!r}", span)
-    toks.append(_Token("eof", "", line, col))
-    return toks
+    line, line_start, i = 1, 0, 0
+    while True:
+        match = _TOKEN.match(source, i)
+        i = match.end()
+        kind = match.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, i
+        elif kind is not None:
+            text = match[kind]
+            column = match.start(kind) - line_start + 1
+            toks.append(_Token(text if kind == "symbol" else kind, text, line, column))
+        elif i < len(source):
+            ch = source[i]
+            what = "non-ASCII" if ord(ch) > 127 else "unexpected"
+            raise ParseError(f"{what} character {ch!r}", SourceSpan(line, i - line_start + 1))
+        else:
+            toks.append(_Token("eof", "", line, i - line_start + 1))
+            return toks
+
+
+_BINARY = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
 
 
 class _Parser:
@@ -218,45 +195,27 @@ class _Parser:
             raise ParseError(f"'{what}' needs at least one variable, found {self.describe(t)}", t.span)
         return tuple(out)
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.peek().kind == "<->":
-            self.deeper(self.advance(), left)
-            right = self.iff()
-            self.depth -= 1
-            return Iff(left, right)
-        return left
-
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "->":
-            self.deeper(self.advance(), left)
-            right = self.implies()
-            self.depth -= 1
-            return Implies(left, right)
-        return left
-
-    def disjunction(self) -> Formula:
-        items = [self.conjunction()]
-        if self.peek().kind != "|":
-            return items[0]
-        self.deeper(self.peek(), items[0])
-        while self.peek().kind == "|":
-            self.advance()
-            items.append(self.conjunction())
+    def binary(self, level: int = 0) -> Formula:
+        """The connectives from ``_BINARY[level]`` on, loosest first: the
+        arrows nest to the right, ``|`` and ``&`` take any number of
+        operands."""
+        if level == len(_BINARY):
+            return self.unary()
+        op, node = _BINARY[level]
+        left = self.binary(level + 1)
+        if self.peek().kind != op:
+            return left
+        self.deeper(self.advance(), left)
+        if node in (Iff, Implies):
+            f = node(left, self.binary(level))
+        else:
+            items = [left, self.binary(level + 1)]
+            while self.peek().kind == op:
+                self.advance()
+                items.append(self.binary(level + 1))
+            f = node(tuple(items))
         self.depth -= 1
-        return Or(tuple(items))
-
-    def conjunction(self) -> Formula:
-        items = [self.unary()]
-        if self.peek().kind != "&":
-            return items[0]
-        self.deeper(self.peek(), items[0])
-        while self.peek().kind == "&":
-            self.advance()
-            items.append(self.unary())
-        self.depth -= 1
-        return And(tuple(items))
+        return f
 
     def unary(self) -> Formula:
         t = self.peek()
@@ -269,7 +228,7 @@ class _Parser:
             self.deeper(self.advance())
             vs = self.binder_list(t.text)
             self.expect(".")
-            body = self.iff()
+            body = self.binary()
             self.depth -= 1
             return ForAll(vs, body) if t.text == "forall" else Exists(vs, body)
         if t.kind == "name" and t.text == "H" and self.peek(1).kind == "{":
@@ -288,34 +247,29 @@ class _Parser:
         self.advance()
         universals = self.binder_list("forall")
         self.expect(";")
-        existentials: list[Variable] = []
-        deps: dict[Variable, tuple[Variable, ...]] = {}
+        rows: dict[Variable, tuple[Variable, ...]] = {}  # in the order written
         while True:
             t = self.peek()
             e = self.variable("existential")
-            if e in deps:
+            if e in rows:
                 raise ParseError(f"duplicate existential '{e.name}' in prefix", t.span)
             self.expect("(")
             ds: list[Variable] = []
             while self.peek().kind == "name" and self.peek().text not in _RESERVED:
                 ds.append(self.variable("dependency"))
             self.expect(")")
-            existentials.append(e)
-            deps[e] = tuple(ds)
-            if self.peek().kind == ",":
-                self.advance()
-                continue
-            break
+            rows[e] = tuple(ds)
+            if self.peek().kind != ",":
+                break
+            self.advance()
         self.expect("}")
-        try:
-            prefix = mk_prefix(universals, existentials, deps)
-        except InvalidPrefixError as exc:
-            raise ParseError(
-                "bad branched prefix: " + "; ".join(d.message for d in exc.diagnostics),
-                opener.span,
-            ) from exc
+        prefix = HenkinPrefix(universals, tuple(rows), tuple(rows.values()))
+        problems = prefix_diagnostics(prefix)
+        if problems:
+            message = "; ".join(d.message for d in problems)
+            raise ParseError("bad branched prefix: " + message, opener.span)
         self.expect(".")
-        body = self.iff()
+        body = self.binary()
         self.depth -= 1
         return Branch(prefix, body)
 
@@ -323,7 +277,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "(":
             self.deeper(self.advance())
-            f = self.iff()
+            f = self.binary()
             self.expect(")")
             self.depth -= 1
             return f
@@ -351,7 +305,7 @@ class _Parser:
 
 def parse_formula(source: str) -> Formula:
     parser = _Parser(_lex(source))
-    f = parser.iff()
+    f = parser.binary()
     t = parser.peek()
     if t.kind != "eof":
         raise ParseError(f"unexpected input after formula: {parser.describe(t)}", t.span)

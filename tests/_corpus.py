@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from henkin import (
+    FALSE,
+    TRUE,
     And,
     Branch,
     EqualAtom,
     Equation,
+    Exists,
+    ForAll,
     Formula,
     Iff,
     Implies,
@@ -24,6 +30,7 @@ from henkin import (
     ceitin_e10,
     ceitin_h12,
     ehrenfeucht_finiteness,
+    equal,
     infinity_sentence,
     mk_prefix,
     parse_formula,
@@ -161,8 +168,6 @@ def collapse_cases(count: int = 20, seed: int = 77) -> list[tuple[str, int, Form
 
 def all_suite_formulas() -> list[tuple[str, Formula]]:
     """Every formula the suite touches, for the round-trip sweep."""
-    from henkin import Exists, ForAll
-
     out = list(agreement_corpus())
     for name, n, matrix in collapse_cases():
         uni = tuple(Variable(f"x{j}") for j in range(1, n + 1))
@@ -177,3 +182,33 @@ def all_suite_formulas() -> list[tuple[str, Formula]]:
             alternating = ForAll((uni[j],), Exists((exi[j],), alternating))
         out.append((f"{name}-alternating", alternating))
     return out
+
+
+NAMES = ("x", "y", "u", "w")
+_BLOCK = st.lists(st.sampled_from(NAMES), min_size=1, max_size=2, unique=True)
+
+
+def small_formulas():
+    """Formulas over a few names, free ones included, with two- and
+    three-operand connectives, linear blocks and one-row branched prefixes
+    nested inside each other."""
+    leaves = st.one_of(
+        st.builds(equal, st.sampled_from(NAMES), st.sampled_from(NAMES)),
+        st.sampled_from([TRUE, FALSE]),
+    )
+
+    def grow(sub):
+        row = st.sampled_from([(), ("u",)])
+        items = st.lists(sub, min_size=2, max_size=3).map(tuple)
+        return st.one_of(
+            st.builds(Not, sub),
+            st.builds(And, items),
+            st.builds(Or, items),
+            st.builds(Implies, sub, sub),
+            st.builds(Iff, sub, sub),
+            st.builds(ForAll, _BLOCK, sub),
+            st.builds(Exists, _BLOCK, sub),
+            st.builds(lambda deps, b: Branch(mk_prefix(["u"], ["w"], {"w": deps}), b), row, sub),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=8)

@@ -103,6 +103,30 @@ class TestEval:
         assert peak < 5_000_000
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--naive", "--expr", "forall x . x = x", "--size", "1000000", "--budget", "100"],
+            ["--expr", "H{ forall x ; y(x) } . y = x", "--size", "1000000", "--budget", "100"],
+            ["--show-witness", "--expr", "H{ forall x ; y(x) } . true", "--size", "1000000"],
+            ["--show-witness", "--expr", "H{ forall x y ; w(x y) } . true", "--size", "1000"],
+        ],
+        ids=["naive-block", "ground", "unread-cells", "unread-cells-arity-2"],
+    )
+    def test_budget_stops_before_listing_the_domain(self, capsys, argv):
+        # Neither engine may build a range of the domain, nor witness_tables
+        # a table, ahead of the nodes it charges.
+        budget = ["--budget", "10"] if "--budget" not in argv else []
+        tracemalloc.start()
+        try:
+            code = main(["eval"] + argv + budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert "nodes exceeded" in capsys.readouterr().err
+        assert peak < 5_000_000
+
+    @pytest.mark.parametrize(
         "text",
         [
             "forall " + " ".join(f"x{i}" for i in range(1200)) + " . true",

@@ -2,16 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from henkin import (
-    FALSE,
-    TRUE,
     And,
     Branch,
     Budget,
     BudgetExceeded,
     Equation,
     Exists,
-    ForAll,
-    Iff,
     Implies,
     Not,
     Or,
@@ -32,7 +28,13 @@ from henkin import (
     witness_tables,
 )
 
-from _corpus import CROSSCHECK_INSTANCES, agreement_corpus, collapse_cases
+from _corpus import (
+    CROSSCHECK_INSTANCES,
+    NAMES,
+    agreement_corpus,
+    collapse_cases,
+    small_formulas,
+)
 
 P = parse_formula
 
@@ -210,14 +212,24 @@ class TestWitness:
         assert witness_tables(f, 3) == witness_tables(f, 3)
 
     def test_one_search_decides_and_witnesses(self):
-        # witness_tables reads the search evaluate runs: same verdict, same cost.
+        # witness_tables reads the search evaluate runs: same verdict, same
+        # cost, plus one node per cell of a table the matrix never reads.
         for name, f in agreement_corpus():
+            node = f
+            while isinstance(node, Exists):
+                node = node.body
+            unread = []
+            if isinstance(node, Branch):
+                read = free_variables(node.body)
+                prefix = node.prefix
+                unread = [len(ds) for e, ds in zip(prefix.existentials, prefix.deps) if e not in read]
             for m in (1, 2):
                 decided, witnessed = Budget(), Budget()
                 verdict = evaluate(f, m, budget=decided)
                 tables = witness_tables(f, m, budget=witnessed)
                 assert (tables is None) == (not verdict), (name, m)
-                assert witnessed.spent == decided.spent, (name, m)
+                extra = sum(m**arity for arity in unread) if verdict else 0
+                assert witnessed.spent == decided.spent + extra, (name, m)
 
     def test_table_format_arities(self):
         t = SkolemTable("y", 2, (((0, 0), 1), ((0, 1), 2)))
@@ -244,34 +256,6 @@ class TestEngineAgreementSmall:
     def test_selected(self, text, m):
         f = P(text)
         assert evaluate(f, m) == evaluate_naive(f, m, budget=Budget(500_000))
-
-
-_NAMES = ("x", "y", "u", "w")
-_BLOCK = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2, unique=True)
-
-
-def _small_formulas():
-    """Formulas over a few names, free ones included, with linear blocks and
-    one-row branched prefixes nested inside each other."""
-    leaves = st.one_of(
-        st.builds(equal, st.sampled_from(_NAMES), st.sampled_from(_NAMES)),
-        st.sampled_from([TRUE, FALSE]),
-    )
-
-    def grow(sub):
-        row = st.sampled_from([(), ("u",)])
-        return st.one_of(
-            st.builds(Not, sub),
-            st.builds(lambda a, b: And((a, b)), sub, sub),
-            st.builds(lambda a, b: Or((a, b)), sub, sub),
-            st.builds(Implies, sub, sub),
-            st.builds(Iff, sub, sub),
-            st.builds(ForAll, _BLOCK, sub),
-            st.builds(Exists, _BLOCK, sub),
-            st.builds(lambda deps, b: Branch(mk_prefix(["u"], ["w"], {"w": deps}), b), row, sub),
-        )
-
-    return st.recursive(leaves, grow, max_leaves=8)
 
 
 class TestSymmetryBreaking:
@@ -308,7 +292,7 @@ class TestSymmetryBreaking:
 
     @given(st.data())
     def test_agrees_with_naive_engine(self, data):
-        f = data.draw(_small_formulas())
+        f = data.draw(small_formulas())
         m = data.draw(st.integers(min_value=1, max_value=3))
         env = {v.name: data.draw(st.integers(0, m - 1)) for v in sorted(free_variables(f), key=str)}
         assert evaluate(f, m, env) == evaluate_naive(f, m, env)
@@ -387,7 +371,7 @@ class TestGroundedSearch:
         deps = st.sampled_from([(), ("u",), ("x",), ("u", "x"), ("x", "u")])
         dw, dy = data.draw(deps), data.draw(deps)
         conjunctions = st.recursive(
-            _quantifier_free(_NAMES), lambda sub: st.builds(lambda a, b: And((a, b)), sub, sub)
+            _quantifier_free(NAMES), lambda sub: st.builds(lambda a, b: And((a, b)), sub, sub)
         )
         matrix = data.draw(conjunctions)
         f = Branch(mk_prefix(["u", "x"], ["w", "y"], {"w": dw, "y": dy}), matrix)

@@ -1,6 +1,7 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 from henkin import (
     And,
@@ -33,7 +34,7 @@ from henkin import (
 )
 from henkin.syntax import MAX_DEPTH
 from henkin.text import format_equation
-from _corpus import agreement_corpus
+from _corpus import agreement_corpus, small_formulas
 
 
 def rt(text: str):
@@ -148,6 +149,21 @@ class TestParseErrors:
         assert info.value.span.line == 2
         assert info.value.span.column == 7
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x = y &\t# tail\r\n", "2:1: expected a formula, found end of input"),
+            ("x = y\t\t@", "1:8: unexpected character '@'"),
+            ("# c\n\n  x <-> ", "3:5: expected '=' or '!=' after 'x', found '<->'"),
+            ("H{ forall x ; y(x) } . y = x ->", "1:32: expected a formula, found end of input"),
+            ("x != y !=", "1:8: unexpected input after formula: '!='"),
+        ],
+    )
+    def test_blanks_comments_and_ends_keep_their_columns(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_formula(text)
+        assert str(info.value) == message
+
 
 class TestPrinting:
     def test_canonical_forms(self):
@@ -172,6 +188,11 @@ class TestPrinting:
     def test_round_trip_on_corpus(self):
         for name, f in agreement_corpus():
             assert parse_formula(format_formula(f)) == f, name
+
+    @settings(max_examples=200)
+    @given(small_formulas())
+    def test_round_trip_on_random_formulas(self, f):
+        assert parse_formula(format_formula(f)) == f
 
     def test_not_of_equality_prints_as_disequation(self):
         assert format_formula(Not(equal("a", "b"))) == "a != b"
