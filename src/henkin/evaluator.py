@@ -396,11 +396,18 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
 
 
 def _tuples(k: int, m: int):
-    """Every ``k``-tuple of values below ``m``, in lexicographic order, made
-    one at a time so that a budget stops a huge enumeration early: tuple
-    ``n`` holds the ``k`` base-``m`` digits of ``n``."""
-    weights = [m**j for j in reversed(range(k))]
-    return (tuple(n // w % m for w in weights) for n in range(m**k))
+    """Every ``k``-tuple of values below ``m``, in lexicographic order, one at
+    a time in O(k) memory, so that a budget stops a huge enumeration early."""
+    vals = [0] * k
+    while True:
+        yield tuple(vals)
+        i = k - 1
+        while i >= 0 and vals[i] == m - 1:
+            vals[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        vals[i] += 1
 
 
 def _neval(f: Formula, env: dict[str, int], m: int, budget: Budget) -> bool:

@@ -58,8 +58,8 @@ __all__ = [
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
 
-# The walks over a formula recurse per level: the parser seven Python frames
-# per parenthesis (five of ``binary``, then ``unary`` and ``atom``), the
+# The walks over a formula recurse per level: the parser six Python frames
+# per parenthesis (four of ``binary``, then ``unary`` and ``atom``), the
 # printer and the compiled engine at most three per node, the reference
 # engine a few more per bound variable.  Refusing formulas deeper than this
 # keeps them under the default recursion limit of 1000, with room for the

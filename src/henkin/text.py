@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .syntax import (
@@ -198,21 +199,20 @@ class _Parser:
     def binary(self, level: int = 0) -> Formula:
         """The connectives from ``_BINARY[level]`` on, loosest first: the
         arrows nest to the right, ``|`` and ``&`` take any number of
-        operands."""
-        if level == len(_BINARY):
-            return self.unary()
+        operands, and the operands of ``&`` are unary formulas."""
         op, node = _BINARY[level]
-        left = self.binary(level + 1)
+        operand = self.unary if node is And else partial(self.binary, level + 1)
+        left = operand()
         if self.peek().kind != op:
             return left
         self.deeper(self.advance(), left)
         if node in (Iff, Implies):
             f = node(left, self.binary(level))
         else:
-            items = [left, self.binary(level + 1)]
+            items = [left, operand()]
             while self.peek().kind == op:
                 self.advance()
-                items.append(self.binary(level + 1))
+                items.append(operand())
             f = node(tuple(items))
         self.depth -= 1
         return f
@@ -264,10 +264,9 @@ class _Parser:
             self.advance()
         self.expect("}")
         prefix = HenkinPrefix(universals, tuple(rows), tuple(rows.values()))
-        problems = prefix_diagnostics(prefix)
+        problems = "; ".join(d.message for d in prefix_diagnostics(prefix))
         if problems:
-            message = "; ".join(d.message for d in problems)
-            raise ParseError("bad branched prefix: " + message, opener.span)
+            raise ParseError("bad branched prefix: " + problems, opener.span)
         self.expect(".")
         body = self.binary()
         self.depth -= 1
@@ -282,12 +281,9 @@ class _Parser:
             self.depth -= 1
             return f
         if t.kind == "name":
-            if t.text == "true":
+            if t.text in ("true", "false"):
                 self.advance()
-                return TRUE
-            if t.text == "false":
-                self.advance()
-                return FALSE
+                return TRUE if t.text == "true" else FALSE
             left = self.variable()
             op = self.peek()
             if op.kind == "=":

@@ -109,12 +109,16 @@ class TestEval:
             ["--expr", "H{ forall x ; y(x) } . y = x", "--size", "1000000", "--budget", "100"],
             ["--show-witness", "--expr", "H{ forall x ; y(x) } . true", "--size", "1000000"],
             ["--show-witness", "--expr", "H{ forall x y ; w(x y) } . true", "--size", "1000"],
+            # 3,000 cells, each charged: the fillings of all of them must
+            # still come one at a time, in memory linear in the cells.
+            ["--naive", "--expr", "H{ forall x ; y(x) } . y = x", "--size", "3000", "--budget", "4000"],
         ],
-        ids=["naive-block", "ground", "unread-cells", "unread-cells-arity-2"],
+        ids=["naive-block", "ground", "unread-cells", "unread-cells-arity-2", "naive-fillings"],
     )
     def test_budget_stops_before_listing_the_domain(self, capsys, argv):
         # Neither engine may build a range of the domain, nor witness_tables
-        # a table, ahead of the nodes it charges.
+        # a table, nor the reference engine its table fillings, ahead of the
+        # nodes it charges.
         budget = ["--budget", "10"] if "--budget" not in argv else []
         tracemalloc.start()
         try:
