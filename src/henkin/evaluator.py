@@ -20,17 +20,21 @@ out of values returns to the latest cell that took part in one of its
 failures, and if none did, the prefix is false.  So ``ceitin-h12`` at
 m=3 grounds 1,134 instances instead of walking 3**12 universal tuples.
 
-Linear ``forall``/``exists`` blocks break value symmetry (the
+Both quantifier blocks and table cells break value symmetry (the
 least-number rule of SEM and Mace4).  The vocabulary is empty, so any
 permutation of the domain that fixes the values already bound is an
-automorphism, and a block only needs those values plus one fresh one:
-its first variable ranges over ``0 .. M+1`` (capped at ``m-1``), where
-``M`` is the largest value bound in the block's scope (-1 if none), and
-each later variable over ``0`` to one above the largest value before it.
-Branch table cells keep the full range: a permutation moves a table's
-keys as well as its values, and the keys of the first cells of a
-conjunct already run through the whole domain, so the rule would prune
-almost nothing.
+automorphism, and a choice only needs those values plus one fresh one.
+A linear ``forall``/``exists`` block's first variable ranges over
+``0 .. M+1`` (capped at ``m-1``), where ``M`` is the largest value bound
+in the block's scope (-1 if none), and each later variable over ``0`` to
+one above the largest value before it.  A table cell ranges over ``0 ..
+M+1`` too, where ``M`` is the largest value bound in the prefix's scope,
+in the keys of the cells up to and including it, and in the cells before
+it.  For a value ``v`` above ``M+1``, the transposition ``(v, M+1)``
+fixes all of those and maps the instances onto themselves, so ``v``
+fails wherever ``M+1`` does, for the same reasons: the rule never widens
+a conflict set.  It matters for pigeonhole tables: ``infinity`` at m=8
+takes 1,810 nodes instead of 2,499,386.
 
 ``evaluate_naive`` is a deliberately transparent reference engine.  It
 walks the tree with a name-keyed dictionary environment, enumerates a
@@ -55,6 +59,7 @@ Both engines charge their search steps against a ``Budget`` and raise
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .budget import Budget, BudgetExceeded
@@ -119,18 +124,19 @@ class _Ctx:
 class _BranchProgram:
     """A compiled branched prefix.
 
-    ``deps`` gives each existential's dependencies as universal indices.
-    ``conjuncts`` holds, in check order, one ``(exs, keyed, loose, test)``
-    per conjunct of the matrix: the indices of the existentials it
-    mentions and of the universals that key their cells, the slots of the
-    other universals it mentions, and its compiled closure.  ``ground``
-    caches the instances on first use; the domain size is fixed per
-    compile.
+    ``outer`` holds the slots of the enclosing scope.  ``deps`` gives each
+    existential's dependencies as universal indices.  ``conjuncts`` holds,
+    in check order, one ``(exs, keyed, loose, test)`` per conjunct of the
+    matrix: the indices of the existentials it mentions and of the
+    universals that key their cells, the slots of the other universals it
+    mentions, and its compiled closure.  ``ground`` caches the instances
+    on first use; the domain size is fixed per compile.
     """
 
-    __slots__ = ("uni_slots", "ex_slots", "deps", "names", "arities", "conjuncts", "ground")
+    __slots__ = ("outer", "uni_slots", "ex_slots", "deps", "names", "arities", "conjuncts", "ground")
 
-    def __init__(self, uni_slots, ex_slots, deps, names, conjuncts):
+    def __init__(self, outer, uni_slots, ex_slots, deps, names, conjuncts):
+        self.outer = outer
         self.uni_slots = uni_slots
         self.ex_slots = ex_slots
         self.deps = deps
@@ -278,6 +284,7 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx) -> _BranchPr
         conjuncts.append((exs, keyed, loose, _compile(part, inner, ctx)))
     conjuncts.sort(key=lambda c: (len(c[0]), len(c[1])))
     return _BranchProgram(
+        tuple(scope.values()),
         tuple(inner[v.name] for v in prefix.universals),
         tuple(inner[v.name] for v in prefix.existentials),
         deps,
@@ -289,18 +296,21 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx) -> _BranchPr
 def _ground(prog: _BranchProgram, m: int, charge):
     """Instantiate every conjunct over the tuples of its keyed universals.
 
-    Returns ``(cells, first, checks)``: the cells ``(existential, key)`` in
-    order of first appearance, the instances that read no cell, and per
-    cell the instances whose last cell it is.  An instance is ``(values,
-    read, (keyed_slots, ex_slots, loose, test))``: the keyed universals'
-    values, the cells its existentials read, and the slots and closure
-    it shares with the other instances of its conjunct.  One node per
-    instance.
+    Returns ``(cells, first, checks, keymax)``: the cells ``(existential,
+    key)`` in order of first appearance, the instances that read no cell,
+    per cell the instances whose last cell it is, and per cell the largest
+    key value of it and the cells before it (-1 if none).  An instance is
+    ``(values, read, (keyed_slots, ex_slots, loose, test))``: the keyed
+    universals' values, the cells its existentials read, and the slots and
+    closure it shares with the other instances of its conjunct.  One node
+    per instance.
     """
     cell_of: dict[tuple, int] = {}
     cells: list[tuple[int, tuple[int, ...]]] = []
     first = []
     checks: list[list] = []
+    keymax: list[int] = []
+    top = -1
     for exs, keyed, loose, test in prog.conjuncts:
         keyed_slots = tuple(prog.uni_slots[j] for j in keyed)
         shared = (keyed_slots, tuple(prog.ex_slots[i] for i in exs), loose, test)
@@ -316,13 +326,15 @@ def _ground(prog: _BranchProgram, m: int, charge):
                     c = cell_of[cell] = len(cells)
                     cells.append(cell)
                     checks.append([])
+                    top = max(top, max(cell[1], default=-1))
+                    keymax.append(top)
                 read.append(c)
             inst = (values, tuple(read), shared)
             if read:
                 checks[max(read)].append(inst)
             else:
                 first.append(inst)
-    return cells, first, checks
+    return cells, first, checks, keymax
 
 
 def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
@@ -333,21 +345,24 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
 
     The matrix is split into its conjuncts and each is grounded over the
     universals that key the cells it reads (``_ground``); the search then
-    assigns cells in order, values ``0..m-1``, with conflict-directed
-    backjumping (Prosser 1993).  An instance is checked when its last
-    cell is assigned, its loose universals looped inside the check; when
-    it fails, its other cells join the current cell's conflict set.  A
-    cell that runs out of values jumps back to the latest cell of its
-    set, merging the rest of the set into that cell's; an empty set means
-    no assignment of the other cells can help, so the prefix is false.
-    Instances that read no cell are checked once, first.  One node per
-    cell value tried and per loose tuple checked.
+    assigns cells in order with conflict-directed backjumping (Prosser
+    1993).  Cell i tries ``0 .. hi[i]``, one above the largest value bound
+    in the prefix's scope, in the keys of cells 0..i and in cells 0..i-1,
+    capped at m-1 (the module docstring says why that is sound).  An
+    instance is checked when its last cell is assigned, its loose
+    universals looped inside the check; when it fails, its other cells
+    join the current cell's conflict set.  A cell that runs out of values
+    jumps back to the latest cell of its set, merging the rest of the set
+    into that cell's; an empty set means no assignment of the other cells
+    can help, so the prefix is false.  Instances that read no cell are
+    checked once, first.  One node per cell value tried and per loose
+    tuple checked.
     """
     m = ctx.m
     charge = ctx.budget.charge
     if prog.ground is None:
         prog.ground = _ground(prog, m, charge)
-    cells, first, checks = prog.ground
+    cells, first, checks, keymax = prog.ground
     value = [-1] * len(cells)
 
     def holds(inst) -> bool:
@@ -368,10 +383,17 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
 
     if not all(holds(inst) for inst in first):
         return None
+    # Cell i tries 0 .. hi[i].  From cell ``sat`` on, the keys alone lift
+    # the bound to m - 1, so only the cells before it need updating.
+    outer = max(map(env.__getitem__, prog.outer), default=-1)
+    sat = 0 if outer >= m - 2 else bisect_left(keymax, m - 2)
+    hi = [m - 1] * len(cells)
+    if sat:
+        hi[0] = max(outer, keymax[0]) + 1
     conflicts: list[set[int]] = [set() for _ in cells]
     i = 0
     while i < len(cells):
-        while value[i] < m - 1:
+        while value[i] < hi[i]:
             value[i] += 1
             charge()
             failed = next((inst for inst in checks[i] if not holds(inst)), None)
@@ -392,6 +414,8 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
         if i < len(cells):
             value[i] = -1
             conflicts[i].clear()
+            if i < sat:
+                hi[i] = min(m - 1, max(hi[i - 1], value[i - 1] + 1, keymax[i] + 1))
     return value
 
 
@@ -471,13 +495,21 @@ def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> boo
                 return False
         return True
 
-    for values in _tuples(len(cells), m):
+    # Count through the fillings in lexicographic order, the last cell
+    # fastest, rewriting only the cells that change.
+    for tab, key in cells:
+        tab[key] = 0
+    while True:
         budget.charge()
-        for (tab, key), val in zip(cells, values):
-            tab[key] = val
         if check_all():
             return True
-    return False
+        for tab, key in reversed(cells):
+            if tab[key] < m - 1:
+                tab[key] += 1
+                break
+            tab[key] = 0
+        else:
+            return False
 
 
 def _prepare(f: Formula, size: int, env) -> dict[str, int]:

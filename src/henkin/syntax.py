@@ -394,14 +394,25 @@ def _children(f: Formula) -> tuple[Formula, ...]:
 
 
 def free_variables(f: Formula) -> frozenset[Variable]:
-    if isinstance(f, EqualAtom):
-        return frozenset((f.left, f.right))
-    out = frozenset().union(*map(free_variables, _children(f)))
-    if isinstance(f, (ForAll, Exists)):
-        return out - frozenset(f.variables)
-    if isinstance(f, Branch):
-        return out - frozenset(f.prefix.bound())
-    return out
+    """The variables of ``f``'s atoms that no binder above them binds,
+    found with an explicit stack, so any depth of tree is fine."""
+    out: set[Variable] = set()
+    todo = [(f, frozenset())]
+    while todo:
+        node, bound = todo.pop()
+        if isinstance(node, EqualAtom):
+            if node.left not in bound:
+                out.add(node.left)
+            if node.right not in bound:
+                out.add(node.right)
+            continue
+        if isinstance(node, (ForAll, Exists)):
+            bound = bound.union(node.variables)
+        elif isinstance(node, Branch):
+            bound = bound.union(node.prefix.bound())
+        for g in _children(node):
+            todo.append((g, bound))
+    return frozenset(out)
 
 
 def formula_depth(f: Formula) -> int:

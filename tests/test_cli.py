@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -129,6 +130,16 @@ class TestEval:
         assert code == 4
         assert "nodes exceeded" in capsys.readouterr().err
         assert peak < 5_000_000
+
+    def test_naive_fillings_rewrite_only_changed_cells(self, capsys):
+        # 30,000 cells: rewriting all of them per filling made this budget
+        # allow about 10^8 cell writes, several seconds of work.
+        argv = ["eval", "--naive", "--expr", "H{ forall x ; y(x) } . y = x"]
+        start = time.perf_counter()
+        code = main(argv + ["--size", "30000", "--budget", "40000"])
+        assert time.perf_counter() - start < 2
+        assert code == 4
+        assert "budget of 40000 nodes exceeded" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",

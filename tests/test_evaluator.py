@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,14 +16,17 @@ from henkin import (
     Presentation,
     SkolemTable,
     Variable,
+    ceitin_e10,
     ceitin_h12,
     ceitin_presentation,
+    ehrenfeucht_finiteness,
     equal,
     evaluate,
     evaluate_naive,
     find_min_model,
     find_witness,
     free_variables,
+    infinity_sentence,
     mk_prefix,
     parse_formula,
     reducer,
@@ -296,6 +301,73 @@ class TestSymmetryBreaking:
         m = data.draw(st.integers(min_value=1, max_value=3))
         env = {v.name: data.draw(st.integers(0, m - 1)) for v in sorted(free_variables(f), key=str)}
         assert evaluate(f, m, env) == evaluate_naive(f, m, env)
+
+
+def _conjuncts(f):
+    return [g for part in f.items for g in _conjuncts(part)] if isinstance(f, And) else [f]
+
+
+def _tables_hold(f, m, tables) -> bool:
+    """Check witness tables with the reference engine alone: plug the spine
+    values and the branch tables into the matrix and evaluate it on every
+    universal tuple.  Each conjunct is checked on the tuples of the
+    universals it reads, directly or through a table's key, which is the
+    same because a universal quantifier distributes over a conjunction."""
+    given = {t.owner: dict(t.entries) for t in tables}
+    env = {}
+    while isinstance(f, Exists):
+        env.update((v.name, given[v.name][()]) for v in f.variables)
+        f = f.body
+    prefix = f.prefix
+    deps = {e.name: [d.name for d in ds] for e, ds in zip(prefix.existentials, prefix.deps)}
+    for part in _conjuncts(f.body):
+        names = {v.name for v in free_variables(part)}
+        read = names & deps.keys()
+        needed = names.union(*(deps[n] for n in read))
+        unis = [u.name for u in prefix.universals if u.name in needed]
+        for values in itertools.product(range(m), repeat=len(unis)):
+            point = {**env, **dict(zip(unis, values))}
+            for n in read:
+                point[n] = given[n][tuple(point[d] for d in deps[n])]
+            if not evaluate_naive(part, m, point):
+                return False
+    return True
+
+
+class TestBranchSymmetry:
+    """Table cells try only the values in play plus one fresh value."""
+
+    def test_cell_keys_count(self):
+        # y(0) may take 1 only because its key 0 is in play.
+        assert evaluate(P("H{ forall x ; y(x) } . y != x"), 2) is True
+
+    def test_enclosing_scope_counts(self):
+        # A cell that ignored the bound t = 2 would never try y(0) = 2.
+        assert evaluate(P("H{ forall x ; y(x) } . y = t"), 3, env={"t": 2}) is True
+
+    @pytest.mark.parametrize("sentence", [infinity_sentence, ehrenfeucht_finiteness])
+    def test_pigeonhole_node_guard(self, sentence):
+        # 1,810 nodes each; trying every value in every cell cost 2,499,386.
+        budget = Budget()
+        evaluate(sentence(), 8, budget=budget)
+        assert budget.spent < 2_500
+
+    @pytest.mark.parametrize("equations, query, smallest", CROSSCHECK_INSTANCES)
+    def test_compiled_tables_pass_the_reference_engine(self, equations, query, smallest):
+        sentence = reducer.compile(Presentation.of(equations), Equation(*query))
+        true_at = []
+        for m in (1, 2, 3):
+            tables = witness_tables(sentence, m)
+            if tables is not None:
+                assert _tables_hold(sentence, m, tables), m
+                true_at.append(m)
+        assert min(true_at, default=None) == smallest
+
+    @pytest.mark.parametrize("sentence", [ceitin_h12, ceitin_e10])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_ceitin_tables_pass_the_reference_engine(self, sentence, m):
+        tables = witness_tables(sentence(), m)
+        assert _tables_hold(sentence(), m, tables)
 
 
 def _quantifier_free(names):

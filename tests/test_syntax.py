@@ -157,6 +157,21 @@ class TestFreeVariables:
         assert free_variables(TRUE) == frozenset()
         assert free_variables(Implies(FALSE, TRUE)) == frozenset()
 
+    def test_deep_negation_chain(self):
+        f = equal("a", "b")
+        for _ in range(2000):
+            f = Not(f)
+        assert free_variables(f) == {Variable("a"), Variable("b")}
+
+    def test_deep_block_nest(self):
+        # Level i binds x{i} and reads x{i+1}, which only a deeper block
+        # binds, so x1..x2000 are free there; x0 is bound at the top.
+        f = equal("x0", "t")
+        for i in range(1999, -1, -1):
+            f = ForAll((f"x{i}",), And((equal(f"x{i}", f"x{i + 1}"), f)))
+        want = {Variable(f"x{i}") for i in range(1, 2001)} | {Variable("t")}
+        assert free_variables(f) == want
+
 
 class TestValidate:
     def test_clean_formula(self):
