@@ -17,8 +17,31 @@ multiplied into instances.  The search then assigns table cells in order
 of first appearance, checking each instance once its last cell has a
 value, and backjumps on conflict (CBJ, Prosser 1993): a cell that runs
 out of values returns to the latest cell that took part in one of its
-failures, and if none did, the prefix is false.  So ``ceitin-h12`` at
-m=3 grounds 1,134 instances instead of walking 3**12 universal tuples.
+failures, and if none did, the prefix is false.
+
+Most conjuncts the paper's sentences are made of are implications
+guarded by equalities between universals, such as the functionality
+clause ``x = x' -> y = y'``.  A *guard* of a conjunct is a pair of names
+``{a, b}`` such that the conjunct holds wherever ``a != b``, read off its
+syntax: ``a != b`` gives its pair, ``A -> B`` the ``a = b`` atoms among
+``A``'s top-level conjuncts and ``B``'s guards, ``|`` the union and ``&``
+the intersection of its operands' guards, and nothing else gives any
+(nothing under a quantifier or branch, where a name may be rebound).
+Guards between two keyed universals join keyed positions into classes,
+and a conjunct is grounded only on the key tuples that are constant on
+every class, its *admitted* tuples; the others are never generated.  So
+``ceitin-h12`` at m=3 grounds 378 instances, where grounding every key
+tuple gave 1,134 and walking the universal tuples 3**12.  This is sound
+for three reasons.  (1) A skipped instance holds whatever the cells hold,
+so it never fails and never enters a conflict set; a cell only skipped
+instances read is not searched at all.  (2) A permutation of the domain
+keeps two values equal or unequal, so the admitted tuples, like all key
+tuples, are closed under domain permutations, and the transposition
+argument for table cells below still holds.  (3) Cell values satisfy
+every admitted instance exactly when they, with any values for the cells
+no admitted instance reads, satisfy every instance; so verdicts are
+unchanged, and the cells the search finds, with unread cells filled in
+any way, are choice tables witnessing the prefix.
 
 Both quantifier blocks and table cells break value symmetry (the
 least-number rule of SEM and Mace4).  The vocabulary is empty, so any
@@ -50,8 +73,8 @@ the outer ``exists`` spine stay in their slots when the search succeeds,
 and every successful branch search records its cell values on the
 compile context, the last one being the branched prefix at the end of
 the spine; cells no instance reads are reported as 0, at one node each.
-So its verdict is ``evaluate``'s, and so is its budget spend when every
-existential appears in the matrix.
+So its verdict is ``evaluate``'s, and so is its budget spend, plus one
+node per unread cell.
 
 Both engines charge their search steps against a ``Budget`` and raise
 ``BudgetExceeded`` rather than run away.  Results are deterministic.
@@ -126,10 +149,11 @@ class _BranchProgram:
 
     ``outer`` holds the slots of the enclosing scope.  ``deps`` gives each
     existential's dependencies as universal indices.  ``conjuncts`` holds,
-    in check order, one ``(exs, keyed, loose, test)`` per conjunct of the
-    matrix: the indices of the existentials it mentions and of the
-    universals that key their cells, the slots of the other universals it
-    mentions, and its compiled closure.  ``ground`` caches the instances
+    in check order, one ``(exs, keyed, spread, loose, test)`` per conjunct
+    of the matrix: the indices of the existentials it mentions and of the
+    universals that key their cells, each keyed position's guard class,
+    the slots of the other universals it mentions, and its compiled
+    closure.  ``ground`` caches the instances
     on first use; the domain size is fixed per compile.
     """
 
@@ -264,7 +288,38 @@ def _conjuncts(f: Formula) -> list[Formula]:
     return out
 
 
+def _guards(f: Formula) -> set[frozenset[str]]:
+    """Pairs of names ``{a, b}`` such that ``f`` holds wherever a != b, read
+    off the syntax by the rules in the module docstring: sound, not
+    complete."""
+    if isinstance(f, Not) and isinstance(f.body, EqualAtom):
+        return {frozenset((f.body.left.name, f.body.right.name))}
+    if isinstance(f, Implies):
+        eqs = {
+            frozenset((g.left.name, g.right.name))
+            for g in _conjuncts(f.antecedent)
+            if isinstance(g, EqualAtom)
+        }
+        return eqs | _guards(f.consequent)
+    if isinstance(f, Or):
+        return set().union(*map(_guards, f.items))
+    if isinstance(f, And):
+        return set.intersection(*map(_guards, f.items))
+    return set()
+
+
 def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx) -> _BranchProgram:
+    """Compile a branched prefix into its conjuncts' grounding plans.
+
+    Each conjunct of the matrix is keyed by the universals its
+    existentials depend on.  A guard ``{a, b}`` of the conjunct
+    (``_guards``) between two keyed universals means every key tuple with
+    a != b gives an instance that holds whatever the cells hold.  The
+    guards are joined into classes of keyed positions, numbered by their
+    first position, and ``spread`` maps each keyed position to its class:
+    ``_ground`` then enumerates class values and admits only the key
+    tuples that are constant on every class.
+    """
     prefix = node.prefix
     inner = dict(scope)
     for v in prefix.bound():
@@ -281,7 +336,16 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx) -> _BranchPr
             for j, v in enumerate(prefix.universals)
             if v.name in names and j not in keyed
         )
-        conjuncts.append((exs, keyed, loose, _compile(part, inner, ctx)))
+        # Each keyed position's class, labelled by the class's first position.
+        pos = {prefix.universals[j].name: p for p, j in enumerate(keyed)}
+        first = list(range(len(keyed)))
+        for guard in _guards(part):
+            # A guard ``a != a`` names one variable and admits everything.
+            if len(guard) == 2 and guard <= pos.keys():
+                a, b = sorted(first[pos[name]] for name in guard)
+                first = [a if c == b else c for c in first]
+        spread = tuple(map(sorted(set(first)).index, first))
+        conjuncts.append((exs, keyed, spread, loose, _compile(part, inner, ctx)))
     conjuncts.sort(key=lambda c: (len(c[0]), len(c[1])))
     return _BranchProgram(
         tuple(scope.values()),
@@ -294,7 +358,15 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx) -> _BranchPr
 
 
 def _ground(prog: _BranchProgram, m: int, charge):
-    """Instantiate every conjunct over the tuples of its keyed universals.
+    """Instantiate every conjunct over its admitted keyed tuples.
+
+    A conjunct's admitted tuples are the tuples of its keyed universals
+    that are constant on each guard class (``_compile_branch``); every
+    other tuple makes a guard false, so its instance holds whatever the
+    cells hold and is never built.  The class values are enumerated in
+    lexicographic order and spread onto the keyed positions; classes are
+    numbered by their first position, so the admitted tuples come in the
+    lexicographic order of the full tuples.
 
     Returns ``(cells, first, checks, keymax)``: the cells ``(existential,
     key)`` in order of first appearance, the instances that read no cell,
@@ -303,7 +375,7 @@ def _ground(prog: _BranchProgram, m: int, charge):
     ``(values, read, (keyed_slots, ex_slots, loose, test))``: the keyed
     universals' values, the cells its existentials read, and the slots and
     closure it shares with the other instances of its conjunct.  One node
-    per instance.
+    per admitted tuple.
     """
     cell_of: dict[tuple, int] = {}
     cells: list[tuple[int, tuple[int, ...]]] = []
@@ -311,13 +383,14 @@ def _ground(prog: _BranchProgram, m: int, charge):
     checks: list[list] = []
     keymax: list[int] = []
     top = -1
-    for exs, keyed, loose, test in prog.conjuncts:
+    for exs, keyed, spread, loose, test in prog.conjuncts:
         keyed_slots = tuple(prog.uni_slots[j] for j in keyed)
         shared = (keyed_slots, tuple(prog.ex_slots[i] for i in exs), loose, test)
         # Where each existential's key sits among the keyed values.
         picks = [(i, tuple(map(keyed.index, prog.deps[i]))) for i in exs]
-        for values in _assignments(len(keyed), m, m - 1):
+        for classed in _assignments(max(spread, default=-1) + 1, m, m - 1):
             charge()
+            values = tuple(map(classed.__getitem__, spread))
             read = []
             for i, pos in picks:
                 cell = (i, tuple(map(values.__getitem__, pos)))
@@ -344,7 +417,8 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
     success, None on failure.
 
     The matrix is split into its conjuncts and each is grounded over the
-    universals that key the cells it reads (``_ground``); the search then
+    admitted tuples of the universals that key the cells it reads
+    (``_ground``); the search then
     assigns cells in order with conflict-directed backjumping (Prosser
     1993).  Cell i tries ``0 .. hi[i]``, one above the largest value bound
     in the prefix's scope, in the keys of cells 0..i and in cells 0..i-1,

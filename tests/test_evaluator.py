@@ -32,6 +32,7 @@ from henkin import (
     reducer,
     witness_tables,
 )
+from henkin.evaluator import _guards
 
 from _corpus import (
     CROSSCHECK_INSTANCES,
@@ -370,6 +371,46 @@ class TestBranchSymmetry:
         assert _tables_hold(sentence(), m, tables)
 
 
+class TestGuards:
+    """Key tuples on which an equality guard is false are never grounded."""
+
+    # Each unguarded shape forces y = w wherever x != z, where the second
+    # conjunct forces y != w: the sentence is false from m=2 on.  A wrong
+    # guard {x, z} would leave those instances of the shape unchecked and
+    # make it true at m=2.
+    @pytest.mark.parametrize(
+        "shape, guards",
+        [
+            ("~(x = z) -> y = w", set()),
+            ("(x = z | y = y) -> y = w", set()),
+            ("(x = z <-> y != w)", set()),
+            ("(x != z & y = w) | x = z", set()),
+            ("(forall z . (x != z | y = w)) | x = z", set()),
+            ("x = z -> y = w", {frozenset({"x", "z"})}),
+        ],
+        ids=["negated-antecedent", "disjunctive-antecedent", "iff", "and-under-or", "rebound", "implies"],
+    )
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_shapes_agree_with_naive_engine(self, shape, guards, m):
+        f = P(f"H{{ forall x z ; y(x), w(z) }} . ({shape}) & (x = z | y != w)")
+        assert _guards(f.body.items[0]) == guards
+        assert evaluate(f, m) == evaluate_naive(f, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_guard_tying_two_dependencies(self, m):
+        # Only the diagonal cells y(a a) are read; the others are reported
+        # as 0 at one node each.
+        f = P("H{ forall x z ; y(x z) } . (x = z -> y = x)")
+        decided, witnessed = Budget(), Budget()
+        assert evaluate(f, m, budget=decided) is True
+        tables = witness_tables(f, m, budget=witnessed)
+        assert witnessed.spent == decided.spent + m * m - m
+        assert tables[0].entries == tuple(
+            ((a, b), a if a == b else 0) for a in range(m) for b in range(m)
+        )
+        assert _tables_hold(f, m, tables)
+
+
 def _quantifier_free(names):
     leaves = st.builds(equal, st.sampled_from(names), st.sampled_from(names))
     return st.recursive(
@@ -403,10 +444,17 @@ class TestGroundedSearch:
         assert budget.spent < 10_000
 
     def test_ceitin_h12_node_guard(self):
-        # 1,134 ground instances; walking the universal tuples cost 531,441.
+        # 378 ground instances (1,134 without the functionality clauses'
+        # guards); walking the universal tuples cost 531,441.
         budget = Budget()
         assert evaluate(ceitin_h12(), 3, budget=budget) is True
         assert budget.spent < 2_000
+
+    def test_ceitin_h12_size_five_node_guard(self):
+        # 2,490 nodes; grounding the tuples the guards skip cost 12,210.
+        budget = Budget()
+        assert evaluate(ceitin_h12(), 5, budget=budget) is True
+        assert budget.spent < 5_000
 
     def test_crosscheck_at_size_four_node_guard(self):
         spent = 0
