@@ -193,7 +193,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     _positive(args.max_size, "--max-size")
     budget = Budget(args.budget)
     for m in range(1, args.max_size + 1):
-        witness = find_witness(presentation, query, m, budget=budget)
+        try:
+            witness = find_witness(presentation, query, m, budget=budget)
+        except BudgetExceeded:
+            raise BudgetExceeded(budget.limit, at_size=m) from None
         if witness is not None:
             print(f"size: {m}")
             print(witness.format())

@@ -589,9 +589,9 @@ def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> boo
 def _prepare(f: Formula, size: int, env) -> dict[str, int]:
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ValueError("domain size must be a positive integer")
-    problems = [d for d in validate(f) if d.severity == "error"]
+    problems = validate(f)
     if problems:
-        raise ValueError("invalid formula: " + "; ".join(d.message for d in problems))
+        raise ValueError("invalid formula: " + "; ".join(problems))
     bound: dict[str, int] = {}
     for key, val in (env or {}).items():
         name = key.name if isinstance(key, Variable) else key

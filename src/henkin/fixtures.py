@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .evaluator import evaluate
+from .evaluator import evaluate_naive
 from .reducer import separation_clauses
 from .syntax import (
     And,
@@ -300,7 +300,9 @@ def identity_check_failures(
     Every existential of ``prefix`` must depend on exactly one universal;
     the check sets it equal to that universal.  A clause is only sensitive
     to the universals it mentions, directly or through an existential, so
-    those are the only ones enumerated.  A correctly built matrix over
+    those are the only ones enumerated.  Each clause is decided by the
+    reference engine ``evaluate_naive``, so the fixtures are not checked
+    by the search engine they exist to test.  A correctly built matrix over
     these fixtures passes for every clause; a nonempty result names the
     conjunct that was mangled.
     """
@@ -323,7 +325,7 @@ def identity_check_failures(
             for name in mentioned:
                 if name in dep_of:
                     env[name] = env[dep_of[name]]
-            if not evaluate(clause, size, env=env):
+            if not evaluate_naive(clause, size, env=env):
                 ok = False
                 break
         if not ok:

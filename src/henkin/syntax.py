@@ -8,7 +8,7 @@ its choice is allowed to observe.
 
 All node types are immutable and compare structurally.  Construction is
 deliberately permissive; ``validate`` reports structural problems as
-diagnostics instead of refusing to build the tree, so that malformed
+messages instead of refusing to build the tree, so that malformed
 inputs can be described in full rather than one error at a time.  The one
 exception is ``Variable`` itself, which rejects malformed name tokens
 outright -- everything else in the package assumes names are well formed.
@@ -26,7 +26,6 @@ __all__ = [
     "Variable",
     "VarLike",
     "as_variable",
-    "Diagnostic",
     "InvalidPrefixError",
     "HenkinPrefix",
     "mk_prefix",
@@ -96,23 +95,13 @@ def _as_variables(vs: Iterable[VarLike]) -> tuple[Variable, ...]:
     return tuple(as_variable(v) for v in vs)
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    """A validation finding; ``severity`` is ``"error"`` or ``"warning"``."""
-
-    severity: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.severity}: {self.message}"
-
-
 class InvalidPrefixError(ValueError):
-    """Raised by ``mk_prefix``; carries one Diagnostic per violated rule."""
+    """Raised by ``mk_prefix``; ``diagnostics`` holds one message per
+    violated rule."""
 
-    def __init__(self, diagnostics: Iterable[Diagnostic]):
+    def __init__(self, diagnostics: Iterable[str]):
         self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(d.message for d in self.diagnostics))
+        super().__init__("; ".join(self.diagnostics))
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,8 +127,8 @@ class HenkinPrefix:
         return self.universals + self.existentials
 
 
-def prefix_diagnostics(prefix: HenkinPrefix) -> list[Diagnostic]:
-    """Structural checks on an already-built prefix.
+def prefix_diagnostics(prefix: HenkinPrefix) -> list[str]:
+    """Structural checks on an already-built prefix, one message per fault.
 
     Covers duplicate names, universal/existential overlap, dependency lists
     that do not line up one-to-one with the existentials, and dependencies
@@ -147,38 +136,32 @@ def prefix_diagnostics(prefix: HenkinPrefix) -> list[Diagnostic]:
     here: it is a property of using a prefix in a formula, enforced by
     ``validate`` on Branch nodes.
     """
-    out: list[Diagnostic] = []
+    out: list[str] = []
     seen: set[Variable] = set()
     for v in prefix.universals:
         if v in seen:
-            out.append(Diagnostic("error", f"duplicate universal '{v}'"))
+            out.append(f"duplicate universal '{v}'")
         seen.add(v)
     eseen: set[Variable] = set()
     for v in prefix.existentials:
         if v in eseen:
-            out.append(Diagnostic("error", f"duplicate existential '{v}'"))
+            out.append(f"duplicate existential '{v}'")
         eseen.add(v)
     for v in sorted(seen & eseen, key=lambda v: v.name):
-        out.append(Diagnostic("error", f"'{v}' is both universal and existential"))
+        out.append(f"'{v}' is both universal and existential")
     if len(prefix.deps) != len(prefix.existentials):
         out.append(
-            Diagnostic(
-                "error",
-                f"{len(prefix.deps)} dependency lists for "
-                f"{len(prefix.existentials)} existentials",
-            )
+            f"{len(prefix.deps)} dependency lists for {len(prefix.existentials)} existentials"
         )
     uni = set(prefix.universals)
     for e, ds in zip(prefix.existentials, prefix.deps):
         local: set[Variable] = set()
         for d in ds:
             if d in local:
-                out.append(Diagnostic("error", f"duplicate dependency '{d}' for '{e}'"))
+                out.append(f"duplicate dependency '{d}' for '{e}'")
             local.add(d)
             if d not in uni:
-                out.append(
-                    Diagnostic("error", f"dependency '{d}' of '{e}' is not a bound universal")
-                )
+                out.append(f"dependency '{d}' of '{e}' is not a bound universal")
     return out
 
 
@@ -191,51 +174,25 @@ def mk_prefix(
 
     ``deps`` maps each existential to its ordered dependency list.  On any
     violation an ``InvalidPrefixError`` is raised carrying the complete list
-    of diagnostics, not just the first one.
+    of messages, not just the first one.  A malformed name raises
+    ``Variable``'s ``ValueError`` at once.
     """
-    diags: list[Diagnostic] = []
-
-    def coerce(items: Sequence[VarLike], role: str) -> list[Variable]:
-        out = []
-        for item in items:
-            try:
-                out.append(as_variable(item))
-            except ValueError as exc:
-                diags.append(Diagnostic("error", f"{role}: {exc}"))
-        return out
-
-    uni = coerce(universals, "universal")
-    exi = coerce(existentials, "existential")
-
+    exi = _as_variables(existentials)
+    problems: list[str] = []
     keyed: dict[Variable, tuple[Variable, ...]] = {}
     for key, value in deps.items():
-        try:
-            kvar = as_variable(key)
-        except ValueError as exc:
-            diags.append(Diagnostic("error", f"dependency key: {exc}"))
-            continue
+        kvar = as_variable(key)
         if kvar in keyed:
-            diags.append(Diagnostic("error", f"repeated dependency entry for '{kvar}'"))
-            continue
-        keyed[kvar] = tuple(coerce(value, f"dependency of '{kvar}'"))
-
-    exi_set = set(exi)
-    for kvar in keyed:
-        if kvar not in exi_set:
-            diags.append(Diagnostic("error", f"dependency entry for unknown existential '{kvar}'"))
-    aligned: list[tuple[Variable, ...]] = []
-    for e in exi:
-        if e in keyed:
-            aligned.append(keyed[e])
+            problems.append(f"repeated dependency entry for '{kvar}'")
         else:
-            diags.append(Diagnostic("error", f"missing dependency entry for '{e}'"))
-            aligned.append(())
-
-    candidate = HenkinPrefix(tuple(uni), tuple(exi), tuple(aligned))
-    diags.extend(prefix_diagnostics(candidate))
-    if any(d.severity == "error" for d in diags):
-        raise InvalidPrefixError(diags)
-    return candidate
+            keyed[kvar] = _as_variables(value)
+    problems += [f"dependency entry for unknown existential '{k}'" for k in keyed if k not in exi]
+    problems += [f"missing dependency entry for '{e}'" for e in exi if e not in keyed]
+    prefix = HenkinPrefix(universals, exi, tuple(keyed.get(e, ()) for e in exi))
+    problems += prefix_diagnostics(prefix)
+    if problems:
+        raise InvalidPrefixError(problems)
+    return prefix
 
 
 def build_hn(n: int) -> HenkinPrefix:
@@ -429,54 +386,38 @@ def formula_depth(f: Formula) -> int:
         depth += 1
 
 
-def validate(f: Formula) -> list[Diagnostic]:
-    """Collect structural diagnostics for a formula.
+def validate(f: Formula) -> list[str]:
+    """Collect structural error messages for a formula, in pre-order;
+    the list is empty when ``f`` is well formed.
 
-    Errors: nesting deeper than ``MAX_DEPTH`` (reported alone, since the
-    other checks recurse), empty or self-rebinding quantifier blocks, n-ary
-    connectives with fewer than two operands, and any prefix whose
-    structure fails ``prefix_diagnostics``.  Shadowing an *outer* binder is
-    legal and comes back as a warning.
+    Errors: nesting deeper than ``MAX_DEPTH`` (reported alone), empty or
+    self-rebinding quantifier blocks, n-ary connectives with fewer than
+    two operands, and any prefix whose structure fails
+    ``prefix_diagnostics``.  Shadowing an *outer* binder is legal.
     """
     if formula_depth(f) > MAX_DEPTH:
-        return [Diagnostic("error", TOO_DEEP)]
-    diags: list[Diagnostic] = []
-
-    def binder_names(vs: Sequence[Variable], what: str, bound: frozenset[str]) -> None:
-        if not vs:
-            diags.append(Diagnostic("error", f"{what} binds no variables"))
-        seen: set[str] = set()
-        for v in vs:
-            if v.name in seen:
-                diags.append(Diagnostic("error", f"{what} binds '{v}' twice"))
-            seen.add(v.name)
-            if v.name in bound:
-                diags.append(Diagnostic("warning", f"'{v}' shadows an outer binding"))
-
-    def walk(node: Formula, bound: frozenset[str]) -> None:
+        return [TOO_DEEP]
+    out: list[str] = []
+    todo = [f]
+    while todo:
+        node = todo.pop()
         if isinstance(node, (And, Or)) and len(node.items) < 2:
             kind = "conjunction" if isinstance(node, And) else "disjunction"
-            diags.append(Diagnostic("error", f"n-ary {kind} with {len(node.items)} operands"))
-        if isinstance(node, (ForAll, Exists)):
+            out.append(f"n-ary {kind} with {len(node.items)} operands")
+        elif isinstance(node, (ForAll, Exists)):
             what = "forall" if isinstance(node, ForAll) else "exists"
-            binder_names(node.variables, f"'{what}' block", bound)
-            bound = bound | {v.name for v in node.variables}
-        if isinstance(node, Branch):
-            diags.extend(prefix_diagnostics(node.prefix))
+            if not node.variables:
+                out.append(f"'{what}' block binds no variables")
+            seen: set[Variable] = set()
+            for v in node.variables:
+                if v in seen:
+                    out.append(f"'{what}' block binds '{v}' twice")
+                seen.add(v)
+        elif isinstance(node, Branch):
+            out += prefix_diagnostics(node.prefix)
             if not node.prefix.universals:
-                diags.append(Diagnostic("error", "branched prefix binds no universals"))
+                out.append("branched prefix binds no universals")
             if not node.prefix.existentials:
-                diags.append(Diagnostic("error", "branched prefix binds no existentials"))
-            names = node.prefix.bound()
-            seen: set[str] = set()
-            for v in names:
-                if v.name in bound and v.name not in seen:
-                    diags.append(Diagnostic("warning", f"'{v}' shadows an outer binding"))
-                seen.add(v.name)
-            bound = bound | {v.name for v in names}
-        for g in _children(node):
-            walk(g, bound)
-
-    walk(f, frozenset())
-    return diags
-
+                out.append("branched prefix binds no existentials")
+        todo.extend(reversed(_children(node)))
+    return out

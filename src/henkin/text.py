@@ -177,7 +177,8 @@ class _Parser:
         if t.kind != "name":
             raise ParseError(f"expected {role} name, found {self.describe(t)}", t.span)
         if t.text in _RESERVED:
-            raise ParseError(f"'{t.text}' is reserved and cannot name a {role}", t.span)
+            article = "an" if role[0] in "aeiou" else "a"
+            raise ParseError(f"'{t.text}' is reserved and cannot name {article} {role}", t.span)
         self.advance()
         return Variable(t.text)
 
@@ -264,7 +265,7 @@ class _Parser:
             self.advance()
         self.expect("}")
         prefix = HenkinPrefix(universals, tuple(rows), tuple(rows.values()))
-        problems = "; ".join(d.message for d in prefix_diagnostics(prefix))
+        problems = "; ".join(prefix_diagnostics(prefix))
         if problems:
             raise ParseError("bad branched prefix: " + problems, opener.span)
         self.expect(".")

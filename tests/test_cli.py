@@ -89,6 +89,12 @@ class TestEval:
         assert code == 4
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        assert main(["eval", "--expr", "true", "--size", "1", "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: budget must be nonnegative\n"
+
     def test_naive_budget_bounds_table_cells(self, capsys):
         # 10^6 cells at m=1000: the budget must stop the naive engine before
         # it lists them all.
@@ -266,7 +272,7 @@ class TestOracle:
         assert main(["oracle"] + argv + ["--budget", "5"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: search budget of 5 nodes exceeded\n"
+        assert captured.err == "error: search budget of 5 nodes exceeded at domain size 2\n"
 
 
 class TestCrosscheck:

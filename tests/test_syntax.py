@@ -22,6 +22,7 @@ from henkin import (
     conjoin,
     disjoin,
     equal,
+    evaluate,
     free_variables,
     mk_prefix,
     not_equal,
@@ -64,7 +65,7 @@ class TestPrefix:
                 ["y", "z"],
                 {"y": ["q"], "w": ["x"]},
             )
-        messages = [d.message for d in info.value.diagnostics]
+        messages = info.value.diagnostics
         assert any("duplicate universal" in m for m in messages)
         assert any("not a bound universal" in m for m in messages)
         assert any("unknown existential 'w'" in m for m in messages)
@@ -74,16 +75,36 @@ class TestPrefix:
     def test_mk_prefix_rejects_overlap(self):
         with pytest.raises(InvalidPrefixError) as info:
             mk_prefix(["x"], ["x"], {"x": []})
-        assert any("both universal and existential" in d.message for d in info.value.diagnostics)
+        assert any("both universal and existential" in m for m in info.value.diagnostics)
 
     def test_mk_prefix_rejects_duplicate_dependency(self):
         with pytest.raises(InvalidPrefixError) as info:
             mk_prefix(["x"], ["y"], {"y": ["x", "x"]})
-        assert any("duplicate dependency" in d.message for d in info.value.diagnostics)
+        assert any("duplicate dependency" in m for m in info.value.diagnostics)
+
+    @pytest.mark.parametrize(
+        "universals, existentials, deps",
+        [
+            (["x y"], ["y"], {"y": []}),
+            (["x"], ["1y"], {"1y": ["x"]}),
+            (["x"], ["y"], {"y": ["x"], "-w": []}),
+            (["x"], ["y"], {"y": ["x-"]}),
+        ],
+    )
+    def test_mk_prefix_malformed_name(self, universals, existentials, deps):
+        with pytest.raises(ValueError, match="bad variable name") as info:
+            mk_prefix(universals, existentials, deps)
+        assert not isinstance(info.value, InvalidPrefixError)
+
+    def test_mk_prefix_repeated_entry(self):
+        with pytest.raises(InvalidPrefixError) as info:
+            mk_prefix(["x"], ["y"], {"y": ["x"], Variable("y"): []})
+        assert info.value.diagnostics == ["repeated dependency entry for 'y'"]
+        assert str(info.value) == "repeated dependency entry for 'y'"
 
     def test_prefix_diagnostics_on_raw_build(self):
         raw = HenkinPrefix(("x",), ("y", "y"), ((), ()))
-        assert any("duplicate existential" in d.message for d in prefix_diagnostics(raw))
+        assert any("duplicate existential" in m for m in prefix_diagnostics(raw))
 
     def test_empty_prefix_passes_structure_checks(self):
         # Nonemptiness is a property of use inside a formula, not of the
@@ -181,38 +202,52 @@ class TestValidate:
 
     def test_short_connectives(self):
         f = ForAll(("x",), And((equal("x", "x"),)))
-        errors = [d for d in validate(f) if d.severity == "error"]
-        assert any("conjunction with 1 operands" in d.message for d in errors)
+        assert validate(f) == ["n-ary conjunction with 1 operands"]
         g = ForAll(("x",), Or(()))
-        assert any("disjunction with 0" in d.message for d in validate(g))
+        assert validate(g) == ["n-ary disjunction with 0 operands"]
 
     def test_empty_binder_block(self):
         f = ForAll((), TRUE)
-        assert any("binds no variables" in d.message for d in validate(f))
+        assert validate(f) == ["'forall' block binds no variables"]
 
     def test_duplicate_binder(self):
         f = Exists(("x", "x"), equal("x", "x"))
-        assert any("binds 'x' twice" in d.message for d in validate(f))
+        assert validate(f) == ["'exists' block binds 'x' twice"]
 
-    def test_shadowing_is_a_warning(self):
+    def test_shadowing_is_legal(self):
         f = ForAll(("x",), Exists(("x",), equal("x", "x")))
-        diags = validate(f)
-        assert [d.severity for d in diags] == ["warning"]
-        assert "shadows" in diags[0].message
+        assert validate(f) == []
 
     def test_branch_needs_both_sides(self):
         lonely_uni = Branch(HenkinPrefix((Variable("x"),), (), ()), equal("x", "x"))
-        assert any("binds no existentials" in d.message for d in validate(lonely_uni))
+        assert validate(lonely_uni) == ["branched prefix binds no existentials"]
         lonely_exi = Branch(HenkinPrefix((), (Variable("y"),), ((),)), equal("y", "y"))
-        assert any("binds no universals" in d.message for d in validate(lonely_exi))
+        assert validate(lonely_exi) == ["branched prefix binds no universals"]
 
     def test_branch_bad_dependency(self):
         raw = HenkinPrefix((Variable("x"),), (Variable("y"),), ((Variable("q"),),))
         f = Branch(raw, equal("y", "x"))
-        assert any("not a bound universal" in d.message for d in validate(f))
+        assert validate(f) == ["dependency 'q' of 'y' is not a bound universal"]
 
     def test_branch_shadowing_outer(self):
         p = mk_prefix(["x"], ["y"], {"y": ["x"]})
         f = ForAll(("y",), Branch(p, equal("y", "x")))
-        diags = validate(f)
-        assert [d.severity for d in diags] == ["warning"]
+        assert validate(f) == []
+
+    def test_misaligned_dependency_lists(self):
+        raw = HenkinPrefix(("x",), ("y", "w"), (("x",),))
+        f = Branch(raw, And((equal("y", "x"), equal("w", "x"))))
+        assert validate(f) == ["1 dependency lists for 2 existentials"]
+        # Without the check, zip would silently drop 'w''s table.
+        with pytest.raises(ValueError, match="1 dependency lists for 2 existentials"):
+            evaluate(f, 2)
+
+    def test_errors_come_in_pre_order(self):
+        raw = HenkinPrefix(("x",), ("y", "y"), ((), ()))
+        f = And((ForAll((), Or(())), Branch(raw, Exists(("z", "z"), TRUE))))
+        assert validate(f) == [
+            "'forall' block binds no variables",
+            "n-ary disjunction with 0 operands",
+            "duplicate existential 'y'",
+            "'exists' block binds 'z' twice",
+        ]
