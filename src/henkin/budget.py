@@ -14,12 +14,14 @@ DEFAULT_BUDGET = 50_000_000
 class BudgetExceeded(RuntimeError):
     """A search consumed its node budget before reaching a verdict."""
 
-    def __init__(self, limit: int, at_size: int | None = None):
+    def __init__(self, limit: int, at_size: int | None = None, route: str | None = None):
         self.limit = limit
         self.at_size = at_size
         message = f"search budget of {limit} nodes exceeded"
         if at_size is not None:
             message += f" at domain size {at_size}"
+        if route is not None:
+            message += f" in {route}"
         super().__init__(message)
 
 

@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     instance(p_cross)
     p_cross.add_argument("--max-size", type=int, required=True, help="largest size to compare")
-    budget(p_cross, "per-size step limit")
+    budget(p_cross, "step limit per size and per route")
     p_cross.add_argument(
         "--corrupt",
         action="store_true",
@@ -213,8 +213,13 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
         sentence = _drop_separation(sentence)
     mismatch = False
     for m in range(1, args.max_size + 1):
-        verdict = evaluate(sentence, m, budget=Budget(args.budget))
-        witness = find_witness(presentation, query, m, budget=Budget(args.budget))
+        route = "evaluate"
+        try:
+            verdict = evaluate(sentence, m, budget=Budget(args.budget))
+            route = "find_witness"
+            witness = find_witness(presentation, query, m, budget=Budget(args.budget))
+        except BudgetExceeded:
+            raise BudgetExceeded(args.budget, at_size=m, route=route) from None
         agree = verdict == (witness is not None)
         print(
             f"m={m}: eval={'true' if verdict else 'false'} "

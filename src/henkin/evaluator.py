@@ -8,16 +8,18 @@ tables; they differ in how.
 
 ``evaluate`` is the workhorse.  It compiles the formula into nested
 closures over a flat slot environment.  At a branched prefix it splits
-the matrix into its conjuncts (nested ``And``s flattened) and grounds
-each one only over the universals that key the table cells it reads:
-one instance per tuple of those, since a universal quantifier
-distributes over a conjunction.  Universals a conjunct mentions but that
-key none of its cells are looped inside the instance's check rather than
-multiplied into instances.  The search then assigns table cells in order
-of first appearance, checking each instance once its last cell has a
-value, and backjumps on conflict (CBJ, Prosser 1993): a cell that runs
-out of values returns to the latest cell that took part in one of its
-failures, and if none did, the prefix is false.
+the matrix into its conjuncts (nested ``And``s flattened), each compiled
+to a record: where its cells' keys sit among its keyed universals (those
+the cells it reads depend on), its guard classes (below), and the slots
+and closure its instances share.  The prefix's first run grounds each
+record over its keyed universals, one instance per tuple of those, since
+a universal quantifier distributes over a conjunction; universals a
+conjunct mentions but that key none of its cells are looped inside the
+instance's check.  The search then assigns table cells in order of first
+appearance, checking each instance once its last cell has a value, and
+backjumps on conflict (CBJ, Prosser 1993): a cell that runs out of
+values returns to the latest cell that took part in one of its failures,
+and if none did, the prefix is false.
 
 Most conjuncts the paper's sentences are made of are implications
 guarded by equalities between universals, such as the functionality
@@ -53,11 +55,12 @@ in the block's scope (-1 if none), and each later variable over ``0`` to
 one above the largest value before it.  A table cell ranges over ``0 ..
 M+1`` too, where ``M`` is the largest value bound in the prefix's scope,
 in the keys of the cells up to and including it, and in the cells before
-it.  For a value ``v`` above ``M+1``, the transposition ``(v, M+1)``
-fixes all of those and maps the instances onto themselves, so ``v``
-fails wherever ``M+1`` does, for the same reasons: the rule never widens
-a conflict set.  It matters for pigeonhole tables: ``infinity`` at m=8
-takes 1,810 nodes instead of 2,499,386.
+it; the search sets that bound as it enters the cell, from the bound and
+value of the cell before and the cell's own key.  For a value ``v`` above
+``M+1``, the transposition ``(v, M+1)`` fixes all of those and maps the
+instances onto themselves, so ``v`` fails wherever ``M+1`` does, for the
+same reasons: the rule never widens a conflict set.  It matters for
+pigeonhole tables: ``infinity`` at m=8 takes 1,810 nodes, not 2,499,386.
 
 ``evaluate_naive`` is a deliberately transparent reference engine.  It
 walks the tree with a name-keyed dictionary environment, enumerates a
@@ -70,10 +73,10 @@ small instances.
 ``witness_tables`` runs the same compile and the same search as
 ``evaluate`` and reads its certificate off that one search: the values of
 the outer ``exists`` spine stay in their slots when the search succeeds,
-and every successful branch search records its cell values on the
-compile context, the last one being the branched prefix at the end of
-the spine; cells no instance reads are reported as 0, at one node each.
-So its verdict is ``evaluate``'s, and so is its budget spend, plus one
+and each successful branch search leaves its cells and their values on
+the compile context, the last being the prefix ending the spine, whose
+node names the tables.  Cells no instance reads are reported as 0, one
+node each, so its verdict is ``evaluate``'s and so is its spend, plus one
 node per unread cell.
 
 Both engines charge their search steps against a ``Budget`` and raise
@@ -82,7 +85,6 @@ Both engines charge their search steps against a ``Budget`` and raise
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .budget import Budget, BudgetExceeded
@@ -135,39 +137,13 @@ class _Ctx:
         self.m = m
         self.budget = budget
         self.nslots = 0
-        # (program, cell values) of the last branch search that succeeded.
+        # (cells, cell values) of the last branch search that succeeded.
         self.found = None
 
     def alloc(self) -> int:
         slot = self.nslots
         self.nslots += 1
         return slot
-
-
-class _BranchProgram:
-    """A compiled branched prefix.
-
-    ``outer`` holds the slots of the enclosing scope.  ``deps`` gives each
-    existential's dependencies as universal indices.  ``conjuncts`` holds,
-    in check order, one ``(exs, keyed, spread, loose, test)`` per conjunct
-    of the matrix: the indices of the existentials it mentions and of the
-    universals that key their cells, each keyed position's guard class,
-    the slots of the other universals it mentions, and its compiled
-    closure.  ``ground`` caches the instances
-    on first use; the domain size is fixed per compile.
-    """
-
-    __slots__ = ("outer", "uni_slots", "ex_slots", "deps", "names", "arities", "conjuncts", "ground")
-
-    def __init__(self, outer, uni_slots, ex_slots, deps, names, conjuncts):
-        self.outer = outer
-        self.uni_slots = uni_slots
-        self.ex_slots = ex_slots
-        self.deps = deps
-        self.names = names
-        self.arities = tuple(len(ds) for ds in deps)
-        self.conjuncts = conjuncts
-        self.ground = None
 
 
 def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
@@ -240,13 +216,17 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
 
         return run_block
     if isinstance(node, Branch):
-        prog = _compile_branch(node, scope, ctx)
+        outer, conjuncts = _compile_branch(node, scope, ctx)
+        ground = None  # built on the first run; the domain size is fixed per compile
 
-        def run_branch(env, _prog=prog, _ctx=ctx):
-            values = _branch_search(_prog, env, _ctx)
+        def run_branch(env):
+            nonlocal ground
+            if ground is None:
+                ground = _ground(conjuncts, ctx.m, ctx.budget.charge)
+            values = _branch_search(ground, outer, env, ctx)
             if values is None:
                 return False
-            _ctx.found = (_prog, values)
+            ctx.found = (ground[0], values)
             return True
 
         return run_branch
@@ -308,17 +288,19 @@ def _guards(f: Formula) -> set[frozenset[str]]:
     return set()
 
 
-def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx) -> _BranchProgram:
-    """Compile a branched prefix into its conjuncts' grounding plans.
+def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
+    """Compile a branched prefix into its enclosing scope's slots and one
+    ``(picks, spread, check)`` record per conjunct, in check order: fewest
+    existentials first, then fewest keyed universals, ties as written.
 
-    Each conjunct of the matrix is keyed by the universals its
-    existentials depend on.  A guard ``{a, b}`` of the conjunct
-    (``_guards``) between two keyed universals means every key tuple with
-    a != b gives an instance that holds whatever the cells hold.  The
-    guards are joined into classes of keyed positions, numbered by their
-    first position, and ``spread`` maps each keyed position to its class:
-    ``_ground`` then enumerates class values and admits only the key
-    tuples that are constant on every class.
+    A conjunct is keyed by the universals its existentials depend on;
+    ``picks`` pairs each existential it mentions with the positions of its
+    key among them.  The conjunct's guards (``_guards``) between two keyed
+    universals join keyed positions into classes, numbered by their first
+    position, and ``spread`` maps each keyed position to its class.  Its
+    instances share ``check``, ``(keyed_slots, ex_slots, loose, test)``:
+    the slots of its keyed universals, existentials and other universals,
+    and its compiled closure.
     """
     prefix = node.prefix
     inner = dict(scope)
@@ -329,13 +311,9 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx) -> _BranchPr
     conjuncts = []
     for part in _conjuncts(node.body):
         names = {v.name for v in free_variables(part)}
-        exs = tuple(i for i, e in enumerate(prefix.existentials) if e.name in names)
-        keyed = tuple(sorted({j for i in exs for j in deps[i]}))
-        loose = tuple(
-            inner[v.name]
-            for j, v in enumerate(prefix.universals)
-            if v.name in names and j not in keyed
-        )
+        exs = [i for i, e in enumerate(prefix.existentials) if e.name in names]
+        keyed = sorted({j for i in exs for j in deps[i]})
+        loose = tuple(inner[n] for n, j in uni_index.items() if n in names and j not in keyed)
         # Each keyed position's class, labelled by the class's first position.
         pos = {prefix.universals[j].name: p for p, j in enumerate(keyed)}
         first = list(range(len(keyed)))
@@ -344,21 +322,18 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx) -> _BranchPr
             if len(guard) == 2 and guard <= pos.keys():
                 a, b = sorted(first[pos[name]] for name in guard)
                 first = [a if c == b else c for c in first]
+        picks = tuple((i, tuple(map(keyed.index, deps[i]))) for i in exs)
         spread = tuple(map(sorted(set(first)).index, first))
-        conjuncts.append((exs, keyed, spread, loose, _compile(part, inner, ctx)))
-    conjuncts.sort(key=lambda c: (len(c[0]), len(c[1])))
-    return _BranchProgram(
-        tuple(scope.values()),
-        tuple(inner[v.name] for v in prefix.universals),
-        tuple(inner[v.name] for v in prefix.existentials),
-        deps,
-        tuple(v.name for v in prefix.existentials),
-        tuple(conjuncts),
-    )
+        keyed_slots = tuple(inner[prefix.universals[j].name] for j in keyed)
+        ex_slots = tuple(inner[prefix.existentials[i].name] for i in exs)
+        check = (keyed_slots, ex_slots, loose, _compile(part, inner, ctx))
+        conjuncts.append(((len(exs), len(keyed)), (picks, spread, check)))
+    conjuncts.sort(key=lambda c: c[0])
+    return tuple(scope.values()), [record for _, record in conjuncts]
 
 
-def _ground(prog: _BranchProgram, m: int, charge):
-    """Instantiate every conjunct over its admitted keyed tuples.
+def _ground(conjuncts, m: int, charge):
+    """Instantiate every conjunct record over its admitted keyed tuples.
 
     A conjunct's admitted tuples are the tuples of its keyed universals
     that are constant on each guard class (``_compile_branch``); every
@@ -368,26 +343,18 @@ def _ground(prog: _BranchProgram, m: int, charge):
     numbered by their first position, so the admitted tuples come in the
     lexicographic order of the full tuples.
 
-    Returns ``(cells, first, checks, keymax)``: the cells ``(existential,
-    key)`` in order of first appearance, the instances that read no cell,
-    per cell the instances whose last cell it is, and per cell the largest
-    key value of it and the cells before it (-1 if none).  An instance is
-    ``(values, read, (keyed_slots, ex_slots, loose, test))``: the keyed
-    universals' values, the cells its existentials read, and the slots and
-    closure it shares with the other instances of its conjunct.  One node
-    per admitted tuple.
+    Returns ``(cells, first, checks)``: the cells ``(existential, key)`` in
+    order of first appearance, the instances that read no cell, and per
+    cell the instances whose last cell it is.  An instance is ``(values,
+    read, check)``: the keyed universals' values, the cells its
+    existentials read, and its conjunct's ``check``.  One node per
+    admitted tuple.
     """
     cell_of: dict[tuple, int] = {}
     cells: list[tuple[int, tuple[int, ...]]] = []
     first = []
     checks: list[list] = []
-    keymax: list[int] = []
-    top = -1
-    for exs, keyed, spread, loose, test in prog.conjuncts:
-        keyed_slots = tuple(prog.uni_slots[j] for j in keyed)
-        shared = (keyed_slots, tuple(prog.ex_slots[i] for i in exs), loose, test)
-        # Where each existential's key sits among the keyed values.
-        picks = [(i, tuple(map(keyed.index, prog.deps[i]))) for i in exs]
+    for picks, spread, check in conjuncts:
         for classed in _assignments(max(spread, default=-1) + 1, m, m - 1):
             charge()
             values = tuple(map(classed.__getitem__, spread))
@@ -399,44 +366,40 @@ def _ground(prog: _BranchProgram, m: int, charge):
                     c = cell_of[cell] = len(cells)
                     cells.append(cell)
                     checks.append([])
-                    top = max(top, max(cell[1], default=-1))
-                    keymax.append(top)
                 read.append(c)
-            inst = (values, tuple(read), shared)
+            inst = (values, tuple(read), check)
             if read:
                 checks[max(read)].append(inst)
             else:
                 first.append(inst)
-    return cells, first, checks, keymax
+    return cells, first, checks
 
 
-def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
+def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
     """Search for choice tables satisfying a branched prefix.
 
     Returns the value of every cell, numbered as in ``_ground``, on
     success, None on failure.
 
-    The matrix is split into its conjuncts and each is grounded over the
-    admitted tuples of the universals that key the cells it reads
-    (``_ground``); the search then
-    assigns cells in order with conflict-directed backjumping (Prosser
-    1993).  Cell i tries ``0 .. hi[i]``, one above the largest value bound
-    in the prefix's scope, in the keys of cells 0..i and in cells 0..i-1,
-    capped at m-1 (the module docstring says why that is sound).  An
-    instance is checked when its last cell is assigned, its loose
-    universals looped inside the check; when it fails, its other cells
-    join the current cell's conflict set.  A cell that runs out of values
-    jumps back to the latest cell of its set, merging the rest of the set
-    into that cell's; an empty set means no assignment of the other cells
-    can help, so the prefix is false.  Instances that read no cell are
-    checked once, first.  One node per cell value tried and per loose
-    tuple checked.
+    Cells are assigned in order with conflict-directed backjumping
+    (Prosser 1993).  Cell i tries ``0 .. hi[i]``: one above the largest
+    value bound in the prefix's scope (slots ``outer``), in the keys of
+    cells 0..i and in cells 0..i-1, capped at m-1 (the module docstring
+    says why that is sound).  ``hi[i-1]`` covers all of that but cell
+    i-1's value and cell i's key, so the search sets ``hi[i]`` to
+    ``min(m-1, max(hi[i-1], value[i-1]+1, max(key_i)+1))`` as it enters
+    cell i.  An instance is checked when its last cell is assigned, its
+    loose universals looped inside the check; when it fails, its other
+    cells join the current cell's conflict set.  A cell that runs out of
+    values jumps back to the latest cell of its set, merging the rest of
+    the set into that cell's; an empty set means no assignment of the
+    other cells can help, so the prefix is false.  Instances that read no
+    cell are checked once, first.  One node per cell value tried and per
+    loose tuple checked.
     """
     m = ctx.m
     charge = ctx.budget.charge
-    if prog.ground is None:
-        prog.ground = _ground(prog, m, charge)
-    cells, first, checks, keymax = prog.ground
+    cells, first, checks = ground
     value = [-1] * len(cells)
 
     def holds(inst) -> bool:
@@ -457,13 +420,9 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
 
     if not all(holds(inst) for inst in first):
         return None
-    # Cell i tries 0 .. hi[i].  From cell ``sat`` on, the keys alone lift
-    # the bound to m - 1, so only the cells before it need updating.
-    outer = max(map(env.__getitem__, prog.outer), default=-1)
-    sat = 0 if outer >= m - 2 else bisect_left(keymax, m - 2)
     hi = [m - 1] * len(cells)
-    if sat:
-        hi[0] = max(outer, keymax[0]) + 1
+    if cells:
+        hi[0] = min(m - 1, max((*map(env.__getitem__, outer), *cells[0][1]), default=-1) + 1)
     conflicts: list[set[int]] = [set() for _ in cells]
     i = 0
     while i < len(cells):
@@ -488,8 +447,9 @@ def _branch_search(prog: _BranchProgram, env: list[int], ctx: _Ctx):
         if i < len(cells):
             value[i] = -1
             conflicts[i].clear()
-            if i < sat:
-                hi[i] = min(m - 1, max(hi[i - 1], value[i - 1] + 1, keymax[i] + 1))
+            hi[i] = hi[i - 1]
+            if hi[i] < m - 1:  # once a bound reaches m - 1, so do all later ones
+                hi[i] = min(m - 1, max(hi[i], value[i - 1] + 1, max(cells[i][1], default=-1) + 1))
     return value
 
 
@@ -678,19 +638,19 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
             slot += 1
         node = node.body
     if isinstance(node, Branch):
-        # Nothing runs after the spine's final branch search succeeds, and
-        # a nested branch finishes before the branch around it.
-        # Cells no instance reads get 0, one node each, so every table is
-        # total and the budget bounds its size.
-        prog, values = ctx.found
-        tables = [{} for _ in prog.arities]
-        for (e, key), val in zip(prog.ground[0], values):
+        # Nothing runs after the spine's final branch search succeeds, and a
+        # nested branch finishes before the branch around it.  Unread cells
+        # get 0 at one node each: every table is total, its size budgeted.
+        cells, values = ctx.found
+        prefix = node.prefix
+        tables = [{} for _ in prefix.existentials]
+        for (e, key), val in zip(cells, values):
             tables[e][key] = val
-        for name, arity, tab in zip(prog.names, prog.arities, tables):
+        for v, deps, tab in zip(prefix.existentials, prefix.deps, tables):
             entries = []
-            for key in _assignments(arity, size, size - 1):
+            for key in _assignments(len(deps), size, size - 1):
                 if key not in tab:
                     ctx.budget.charge()
                 entries.append((key, tab.get(key, 0)))
-            out.append(SkolemTable(name, arity, tuple(entries)))
+            out.append(SkolemTable(v.name, len(deps), tuple(entries)))
     return out

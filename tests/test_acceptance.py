@@ -5,6 +5,7 @@ Each test prints a [PASS]/[FAIL] line naming the guarantee, so a plain
 """
 
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -122,6 +123,38 @@ def test_engine_agreement():
             assert (name, 3) in NAIVE_OUT_OF_REACH
             witness = find_witness(aa, query, 3)
             assert fast[name, 3] == (witness is not None), f"{name} against the oracle at m=3"
+
+
+def _map_variables(node, fn):
+    """``node`` rebuilt with every ``Variable`` in it replaced by ``fn`` of it."""
+    if isinstance(node, Variable):
+        return fn(node)
+    if isinstance(node, tuple):
+        return tuple(_map_variables(x, fn) for x in node)
+    if is_dataclass(node):
+        return type(node)(*(_map_variables(getattr(node, fl.name), fn) for fl in fields(node)))
+    return node
+
+
+def test_renaming_bound_variables():
+    # Every name of a closed formula is bound, so an injective renaming of
+    # all of them renames each binder with its uses.  This one reverses the
+    # names' sort order, which must not reach the verdicts or the cost.
+    with criterion("renaming-invariance"):
+        for name, f in agreement_corpus():
+            seen = set()
+            _map_variables(f, lambda v: seen.add(v.name) or v)
+            to = {n: f"r{k:03d}" for k, n in enumerate(sorted(seen, reverse=True))}
+            g = _map_variables(f, lambda v: Variable(to[v.name]))
+            assert len(seen) < 2 or sorted(seen, key=to.get) != sorted(seen)
+            for m in (1, 2, 3):
+                before, after = Budget(), Budget()
+                verdict = evaluate(f, m, budget=before)
+                assert evaluate(g, m, budget=after) == verdict, (name, m)
+                assert after.spent == before.spent, (name, m)
+                if (name, m) not in NAIVE_OUT_OF_REACH:
+                    naive = evaluate_naive(f, m, budget=Budget(500_000))
+                    assert evaluate_naive(g, m, budget=Budget(500_000)) == naive, (name, m)
 
 
 def test_collapse_laws():

@@ -309,7 +309,25 @@ class TestCrosscheck:
             "m=1: eval=false oracle=none agree",
             "m=2: eval=true oracle=witness agree",
         ]
-        assert captured.err == "error: search budget of 300 nodes exceeded\n"
+        # evaluate spends 21 / 135 / 448 nodes at m = 1..3.
+        assert captured.err == (
+            "error: search budget of 300 nodes exceeded at domain size 3 in evaluate\n"
+        )
+
+    def test_budget_exhausted_names_the_oracle_route(self, capsys, tmp_path):
+        # At m=3 evaluate spends 252 nodes and find_witness 756.
+        path = tmp_path / "presentation.txt"
+        path.write_text("ab = a\n", encoding="ascii")
+        argv = ["--presentation", str(path), "--query", "ab = a", "--max-size", "3"]
+        assert main(["crosscheck"] + argv + ["--budget", "300"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "m=1: eval=false oracle=none agree",
+            "m=2: eval=false oracle=none agree",
+        ]
+        assert captured.err == (
+            "error: search budget of 300 nodes exceeded at domain size 3 in find_witness\n"
+        )
 
     def test_corrupt_reports_mismatch(self, capsys, canon_file):
         code = main(

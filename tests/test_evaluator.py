@@ -210,6 +210,18 @@ class TestWitness:
         assert witness_tables(P("exists x . x != x"), 3) is None
         assert witness_tables(P("H{ forall x ; y() } . y = x"), 2) is None
 
+    def test_nested_branch_reports_the_outer_tables(self):
+        # Every inner branch search finishes before the outer one succeeds,
+        # so the tables read off the last success are the outer prefix's.
+        f = P("H{ forall x ; y(x) } . H{ forall z ; w(z) } . w = y")
+        assert [t.format() for t in witness_tables(f, 3)] == ["y: (0)->0 (1)->0 (2)->0"]
+        f = P("exists t . H{ forall x ; y(x) } . (y != t & H{ forall z ; w(z) } . w = y)")
+        assert [t.format() for t in witness_tables(f, 3)] == ["t: ()->0", "y: (0)->1 (1)->1 (2)->1"]
+        # w's cells have two-value keys: tables read off an inner search
+        # would leave every y cell unread and report it as 0.
+        f = P("H{ forall x ; y(x) } . (y != x & H{ forall z u ; w(z u) } . w = y)")
+        assert [t.format() for t in witness_tables(f, 3)] == ["y: (0)->1 (1)->0 (2)->0"]
+
     def test_no_spine_true_sentence(self):
         assert witness_tables(P("forall x . x = x"), 3) == []
 
@@ -353,6 +365,17 @@ class TestBranchSymmetry:
         evaluate(sentence(), 8, budget=budget)
         assert budget.spent < 2_500
 
+    @pytest.mark.parametrize("sentence", [infinity_sentence, ehrenfeucht_finiteness])
+    def test_pigeonhole_node_counts(self, sentence):
+        # Exact counts at m = 5..8, as the README quotes them for infinity:
+        # a change to the cell bound shows here and must update both.
+        spent = []
+        for m in range(5, 9):
+            budget = Budget()
+            evaluate(sentence(), m, budget=budget)
+            spent.append(budget.spent)
+        assert spent == [179, 391, 844, 1_810]
+
     @pytest.mark.parametrize("equations, query, smallest", CROSSCHECK_INSTANCES)
     def test_compiled_tables_pass_the_reference_engine(self, equations, query, smallest):
         sentence = reducer.compile(Presentation.of(equations), Equation(*query))
@@ -455,6 +478,16 @@ class TestGroundedSearch:
         budget = Budget()
         assert evaluate(ceitin_h12(), 5, budget=budget) is True
         assert budget.spent < 5_000
+
+    def test_ceitin_h12_node_counts(self):
+        # Exact counts at m = 3..7 (the README quotes m=3 and m=5): a change
+        # to the grounding or the cell bound shows here and must update both.
+        spent = []
+        for m in range(3, 8):
+            budget = Budget()
+            assert evaluate(ceitin_h12(), m, budget=budget) is True
+            spent.append(budget.spent)
+        assert spent == [414, 1_112, 2_490, 4_896, 8_750]
 
     def test_crosscheck_at_size_four_node_guard(self):
         spent = 0
