@@ -32,7 +32,6 @@ from .fixtures import (
 from .oracle import find_witness
 from .syntax import And, Branch, Exists
 from .text import (
-    ParseError,
     format_formula,
     format_presentation,
     parse_equation,
@@ -118,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_formula_text(args: argparse.Namespace) -> str:
     if args.expr is not None:
         if args.source is not None:
-            raise ParseError("give a formula either as a file or with --expr, not both")
+            raise ValueError("give a formula either as a file or with --expr, not both")
         return args.expr
     if args.source is None or args.source == "-":
         return sys.stdin.read()
@@ -127,7 +126,7 @@ def _read_formula_text(args: argparse.Namespace) -> str:
 
 def _positive(value: int, what: str) -> int:
     if value < 1:
-        raise ParseError(f"{what} must be at least 1")
+        raise ValueError(f"{what} must be at least 1")
     return value
 
 

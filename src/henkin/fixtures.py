@@ -204,8 +204,7 @@ def ceitin_h12_with_query(query: Equation) -> Exists:
     The designated row for each query letter is its unprimed row, so the
     query may only use the letters a-e.
     """
-    letters = set(query.lhs) | set(query.rhs)
-    extra = sorted(letters - set("abcde"))
+    extra = sorted(query.letters() - set("abcde"))
     if extra:
         raise ValueError("query letters must be among a-e, got: " + ", ".join(extra))
     designated = {ch: (Variable(f"x_{ch}"), Variable(f"y_{ch}")) for ch in "abcde"}

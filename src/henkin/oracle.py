@@ -59,7 +59,7 @@ def check_witness(presentation: Presentation, query: Equation, witness: Witness)
         raise ValueError("witness size must be positive")
     if not 0 <= witness.point < size:
         raise ValueError(f"witness point {witness.point} outside [0, {size})")
-    needed = set(presentation.alphabet) | set(query.lhs) | set(query.rhs)
+    needed = presentation.alphabet | query.letters()
     missing = sorted(needed - set(witness.tables))
     if missing:
         raise ValueError("witness lacks tables for: " + ", ".join(missing))
@@ -94,7 +94,7 @@ def find_witness(
     if size < 1:
         raise ValueError("size must be positive")
     budget = budget if budget is not None else Budget()
-    letters = sorted(set(presentation.alphabet) | set(query.lhs) | set(query.rhs))
+    letters = sorted(presentation.alphabet | query.letters())
     index = {ch: i for i, ch in enumerate(letters)}
     ready: list[list[Equation]] = [[] for _ in letters]
     for eq in presentation.equations:

@@ -10,8 +10,9 @@ All node types are immutable and compare structurally.  Construction is
 deliberately permissive; ``validate`` reports structural problems as
 messages instead of refusing to build the tree, so that malformed
 inputs can be described in full rather than one error at a time.  The one
-exception is ``Variable`` itself, which rejects malformed name tokens
-outright -- everything else in the package assumes names are well formed.
+exception is ``Variable`` itself, which rejects malformed names and the
+reserved words outright -- everything else in the package assumes names
+are well formed, and ``text`` lexes and parses names by the same rules.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from typing import Iterable, Mapping, Sequence, Union
 __all__ = [
     "MAX_DEPTH",
     "TOO_DEEP",
+    "NAME_PATTERN",
+    "RESERVED_WORDS",
     "Variable",
     "VarLike",
     "as_variable",
@@ -55,7 +58,9 @@ __all__ = [
     "validate",
 ]
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
+NAME_PATTERN = r"[A-Za-z][A-Za-z0-9_']*"
+RESERVED_WORDS = frozenset({"forall", "exists", "true", "false"})
+_NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 # The walks over a formula recurse per level: the parser six Python frames
 # per parenthesis (four of ``binary``, then ``unary`` and ``atom``), the
@@ -69,7 +74,7 @@ TOO_DEEP = f"formula nested more than {MAX_DEPTH} levels deep"
 
 @dataclass(frozen=True, slots=True)
 class Variable:
-    """A variable name: a letter followed by letters, digits, '_' or "'"."""
+    """A name: a letter, then letters, digits, '_' or "'"; not a reserved word."""
 
     name: str
 
@@ -79,6 +84,8 @@ class Variable:
                 f"bad variable name {self.name!r}: expected a letter followed by "
                 "letters, digits, underscores or apostrophes"
             )
+        if self.name in RESERVED_WORDS:
+            raise ValueError(f"'{self.name}' is reserved and cannot name a variable")
 
     def __str__(self) -> str:
         return self.name
@@ -308,7 +315,7 @@ class Branch(Formula):
 
 
 def equal(a: VarLike, b: VarLike) -> EqualAtom:
-    return EqualAtom(as_variable(a), as_variable(b))
+    return EqualAtom(a, b)
 
 
 def not_equal(a: VarLike, b: VarLike) -> Not:

@@ -1,4 +1,4 @@
-"""Concrete syntax: lexer, parser, and pretty-printer.
+"""Concrete syntax of formulas, equations and presentations: parse and print.
 
 Formula grammar, loosest binding first::
 
@@ -16,9 +16,9 @@ Formula grammar, loosest binding first::
 
 Quantifier bodies extend as far right as possible.  ``v != w`` abbreviates
 ``~ v = w`` and the printer always prefers the abbreviation.  ``#`` starts
-a comment running to end of line.  ``forall``, ``exists``, ``true`` and
-``false`` are reserved words; ``H`` is special only when a ``{`` follows.
-Input must be ASCII.
+a comment running to end of line.  Names and the reserved words (``forall``,
+``exists``, ``true``, ``false``) are ``syntax``'s; ``H`` is special only
+when a ``{`` follows.  Input must be ASCII.
 
 Nesting is bounded by ``syntax.MAX_DEPTH``, counted as
 ``syntax.formula_depth`` counts it: every node of the tree but atoms and
@@ -55,15 +55,17 @@ from .syntax import (
     Iff,
     Implies,
     MAX_DEPTH,
+    NAME_PATTERN,
     Not,
     Or,
+    RESERVED_WORDS,
     TOO_DEEP,
     TRUE,
     Variable,
     formula_depth,
     prefix_diagnostics,
 )
-from .words import Equation, Presentation
+from .words import LETTERS, Equation, Presentation
 
 __all__ = [
     "SourceSpan",
@@ -108,9 +110,8 @@ class _Token(NamedTuple):
 # takes none of the three before the end of input stops at a bad character.
 _TOKEN = re.compile(
     r"(?:[ \t\r]+|#[^\n]*)*"
-    r"(?:(?P<newline>\n)|(?P<symbol><->|->|!=|[(){};,.=&|~])|(?P<name>[A-Za-z][A-Za-z0-9_']*))?"
+    rf"(?:(?P<newline>\n)|(?P<symbol><->|->|!=|[(){{}};,.=&|~])|(?P<name>{NAME_PATTERN}))?"
 )
-_RESERVED = frozenset({"forall", "exists", "true", "false"})
 
 
 def _lex(source: str) -> list[_Token]:
@@ -176,7 +177,7 @@ class _Parser:
         t = self.peek()
         if t.kind != "name":
             raise ParseError(f"expected {role} name, found {self.describe(t)}", t.span)
-        if t.text in _RESERVED:
+        if t.text in RESERVED_WORDS:
             article = "an" if role[0] in "aeiou" else "a"
             raise ParseError(f"'{t.text}' is reserved and cannot name {article} {role}", t.span)
         self.advance()
@@ -185,7 +186,7 @@ class _Parser:
     def binder_list(self, what: str) -> tuple[Variable, ...]:
         out: list[Variable] = []
         seen: set[str] = set()
-        while self.peek().kind == "name" and self.peek().text not in _RESERVED:
+        while self.peek().kind == "name" and self.peek().text not in RESERVED_WORDS:
             t = self.peek()
             v = self.variable("bound variable")
             if v.name in seen:
@@ -248,23 +249,21 @@ class _Parser:
         self.advance()
         universals = self.binder_list("forall")
         self.expect(";")
-        rows: dict[Variable, tuple[Variable, ...]] = {}  # in the order written
+        rows: list[tuple[Variable, tuple[Variable, ...]]] = []
         while True:
-            t = self.peek()
             e = self.variable("existential")
-            if e in rows:
-                raise ParseError(f"duplicate existential '{e.name}' in prefix", t.span)
             self.expect("(")
             ds: list[Variable] = []
-            while self.peek().kind == "name" and self.peek().text not in _RESERVED:
+            while self.peek().kind == "name" and self.peek().text not in RESERVED_WORDS:
                 ds.append(self.variable("dependency"))
             self.expect(")")
-            rows[e] = tuple(ds)
+            rows.append((e, tuple(ds)))
             if self.peek().kind != ",":
                 break
             self.advance()
         self.expect("}")
-        prefix = HenkinPrefix(universals, tuple(rows), tuple(rows.values()))
+        existentials, deps = zip(*rows)
+        prefix = HenkinPrefix(universals, existentials, deps)
         problems = "; ".join(prefix_diagnostics(prefix))
         if problems:
             raise ParseError("bad branched prefix: " + problems, opener.span)
@@ -371,7 +370,7 @@ def _word(segment: str, lineno: int, base_col: int, side: str, anchor_col: int) 
         raise ParseError(f"empty {side} of equation", SourceSpan(lineno, anchor_col))
     offset = len(segment) - len(segment.lstrip())
     for k, ch in enumerate(stripped):
-        if not ("a" <= ch <= "z"):
+        if ch not in LETTERS:
             raise ParseError(
                 f"{side} contains {ch!r}; words use letters a-z only",
                 SourceSpan(lineno, base_col + offset + k),

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["check_word", "Equation", "Presentation"]
+__all__ = ["LETTERS", "check_word", "Equation", "Presentation"]
 
-_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
+LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
 
 
 def check_word(word: str, what: str = "word") -> str:
@@ -23,7 +23,7 @@ def check_word(word: str, what: str = "word") -> str:
     if not word:
         raise ValueError(f"{what} must be nonempty")
     for ch in word:
-        if ch not in _LOWER:
+        if ch not in LETTERS:
             raise ValueError(f"{what} {word!r} contains {ch!r}; only a-z are generators")
     return word
 
@@ -41,9 +41,6 @@ class Equation:
 
     def letters(self) -> frozenset[str]:
         return frozenset(self.lhs) | frozenset(self.rhs)
-
-    def __str__(self) -> str:
-        return f"{self.lhs} = {self.rhs}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,6 +63,3 @@ class Presentation:
     @classmethod
     def of(cls, equations: Iterable[Equation | tuple[str, str]]) -> "Presentation":
         return cls(tuple(e if isinstance(e, Equation) else Equation(*e) for e in equations))
-
-    def __str__(self) -> str:
-        return "; ".join(str(eq) for eq in self.equations)

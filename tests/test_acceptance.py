@@ -21,6 +21,8 @@ from henkin import (
     build_hn,
     ceitin_e10,
     ceitin_h12,
+    ceitin_h12_with_query,
+    ceitin_presentation,
     compile_instance,
     ehrenfeucht_finiteness,
     evaluate,
@@ -225,6 +227,35 @@ def test_reduction_crosscheck(tmp_path, capsys):
         )
         assert code == 3
         capsys.readouterr()
+
+
+# Queries over Ceitin's presentation: (lhs, rhs, smallest separating size
+# or None, largest size decided).  Both sentence routes run to the largest
+# size; the oracle, dear beyond m=3 here, runs up to 3.
+SINGLE_QUANTIFIER_QUERIES = [
+    ("ab", "ba", 2, 5),
+    ("a", "b", 2, 5),
+    ("ac", "ca", None, 5),
+    ("ce", "ec", 3, 4),
+]
+
+
+def test_single_quantifier_route():
+    """The paper's construction, one fixed twelve-row prefix plus a spine
+    per query, agrees with the compiled sentence and with the oracle."""
+    with criterion("single-quantifier-route"):
+        presentation = ceitin_presentation()
+        for lhs, rhs, smallest, top in SINGLE_QUANTIFIER_QUERIES:
+            query = Equation(lhs, rhs)
+            h12 = ceitin_h12_with_query(query)
+            compiled = compile_instance(presentation, query)
+            for m in range(1, top + 1):
+                expected = smallest is not None and m >= smallest
+                assert evaluate(h12, m) is expected, (lhs, rhs, m)
+                assert evaluate(compiled, m) is expected, (lhs, rhs, m)
+                if m <= 3:
+                    witness = find_witness(presentation, query, m)
+                    assert (witness is not None) is expected, (lhs, rhs, m)
 
 
 def test_ceitin_satisfiable_small():

@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -21,7 +22,7 @@ from henkin import (
     parse_formula,
     witness_tables,
 )
-from henkin.cli import main
+from henkin.cli import _positive, _read_formula_text, main
 
 from _corpus import CROSSCHECK_INSTANCES
 
@@ -179,6 +180,14 @@ class TestEval:
         src.write_text("true", encoding="ascii")
         assert main(["eval", str(src), "--expr", "true", "--size", "2"]) == 2
         assert "not both" in capsys.readouterr().err
+
+    def test_usage_errors_are_plain_value_errors(self):
+        # Neither has a position in any text, so neither is a ParseError.
+        both = argparse.Namespace(expr="true", source="f.hf")
+        for call in (lambda: _positive(0, "--size"), lambda: _read_formula_text(both)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError
 
 
 DEEP_INPUTS = {

@@ -498,6 +498,24 @@ class TestGroundedSearch:
             spent += budget.spent
         assert spent < 100_000
 
+    def test_crosscheck_node_counts(self):
+        # Exact counts per instance at m = 4 and 5 (17,750 and 37,770 in
+        # all).  The order of the conjuncts alone moves them 50-fold, so a
+        # change to the grounding, the cell order or the cell bound shows
+        # here and must update them.
+        expected = {
+            4: [589, 37, 9_740, 22, 69, 204, 379, 4_045, 249, 2_117, 121, 178],
+            5: [728, 39, 26_990, 26, 77, 238, 461, 5_813, 303, 2_690, 147, 258],
+        }
+        for m, counts in expected.items():
+            spent = []
+            for equations, query, _ in CROSSCHECK_INSTANCES:
+                sentence = reducer.compile(Presentation.of(equations), Equation(*query))
+                budget = Budget()
+                evaluate(sentence, m, budget=budget)
+                spent.append(budget.spent)
+            assert spent == counts, m
+
     @pytest.mark.parametrize("query", ["ab=ba", "ae=ea", "ce=ec", "ac=ca"])
     def test_compiled_ceitin_presentation_agrees_with_oracle(self, query):
         presentation = ceitin_presentation()

@@ -6,6 +6,7 @@ from henkin import (
     Budget,
     Equation,
     Exists,
+    HenkinPrefix,
     Implies,
     Not,
     ceitin_e10,
@@ -22,6 +23,7 @@ from henkin import (
     not_equal,
     validate,
 )
+from henkin.text import format_equation
 from henkin.fixtures import (
     ceitin_e10_clauses,
     ceitin_e10_prefix,
@@ -33,7 +35,7 @@ from henkin.fixtures import (
 class TestPresentation:
     def test_equations(self):
         pres = ceitin_presentation()
-        assert [str(e) for e in pres.equations] == [
+        assert [format_equation(e) for e in pres.equations] == [
             "ac = ca",
             "ad = da",
             "bc = cb",
@@ -97,6 +99,13 @@ class TestH12:
         broken[4] = ("one-function:e", Implies(equal("x_e", "x'_e"), not_equal("y_e", "y'_e")))
         failures = identity_check_failures(broken, ceitin_h12_prefix(), 2)
         assert failures == ["one-function:e"]
+
+    @pytest.mark.parametrize("deps", [(), ("x", "z")])
+    def test_identity_check_needs_one_dependency_per_existential(self, deps):
+        prefix = HenkinPrefix(("x", "z"), ("y",), (deps,))
+        with pytest.raises(ValueError) as info:
+            identity_check_failures([("c", equal("y", "x"))], prefix, 2)
+        assert str(info.value) == "existential 'y' does not have exactly one dependency"
 
 
 class TestH12WithQuery:

@@ -106,6 +106,12 @@ class TestCheckWitness:
         with pytest.raises(ValueError):
             check_witness(CANON, CANON_QUERY, bad)
 
+    def test_size_below_one_rejected(self):
+        bad = Witness(size=0, tables={"a": (), "b": ()}, point=0)
+        with pytest.raises(ValueError) as info:
+            check_witness(CANON, CANON_QUERY, bad)
+        assert str(info.value) == "witness size must be positive"
+
     def test_out_of_range_value_rejected(self):
         bad = Witness(size=2, tables={"a": (0, 3), "b": (1, 1)}, point=0)
         with pytest.raises(ValueError):

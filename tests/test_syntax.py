@@ -49,6 +49,31 @@ class TestVariable:
     def test_str(self):
         assert str(Variable("x'_a")) == "x'_a"
 
+    @pytest.mark.parametrize("word", ["forall", "exists", "true", "false"])
+    def test_reserved_words_name_nothing(self, word):
+        message = f"'{word}' is reserved and cannot name a variable"
+        with pytest.raises(ValueError, match=message):
+            Variable(word)
+        with pytest.raises(ValueError, match=message):
+            equal(word, "x")
+        with pytest.raises(ValueError, match=message):
+            mk_prefix([word], ["y"], {"y": [word]})
+        with pytest.raises(ValueError, match=message):
+            mk_prefix(["x"], [word], {word: ["x"]})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: equal("true", "x"),
+            lambda: ForAll(("exists",), equal("exists", "exists")),
+            lambda: Exists(("false",), TRUE),
+        ],
+        ids=["true = x", "forall exists . exists = exists", "exists false . true"],
+    )
+    def test_trees_that_would_print_unparseable_text_are_refused(self, build):
+        with pytest.raises(ValueError, match="is reserved and cannot name a variable"):
+            build()
+
 
 class TestPrefix:
     def test_mk_prefix_aligns_deps(self):

@@ -177,6 +177,20 @@ class TestParseErrors:
             parse_formula(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("H{ forall x ; y(x), y(x) } . y = x",
+             "1:1: bad branched prefix: duplicate existential 'y'"),
+            ("x = x &\n  H{ forall x ; y(q), w(x) } . y = x",
+             "2:3: bad branched prefix: dependency 'q' of 'y' is not a bound universal"),
+        ],
+    )
+    def test_prefix_faults_are_reported_at_the_h(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_formula(text)
+        assert str(info.value) == message
+
 
 class TestPrinting:
     def test_canonical_forms(self):
@@ -194,6 +208,10 @@ class TestPrinting:
             "exists t . H{ forall x z ; y(x), w(z) } . (y = w <-> x = z) & t != y",
             "H{ forall x ; y() } . y = x",
             "true & ~false",
+            # H, x' and y_1 each as a bound variable, a universal and an existential
+            "forall H . H{ forall x' ; y_1(x') } . y_1 = x' & H != y_1",
+            "forall x' . H{ forall y_1 ; H(y_1) } . H = y_1 & x' != H",
+            "forall y_1 . H{ forall H ; x'(H) } . x' = H & y_1 != x'",
         ]
         for text in cases:
             assert format_formula(parse_formula(text)) == text
@@ -230,6 +248,20 @@ class TestPresentations:
         with pytest.raises(ValueError) as info:
             Equation(lhs, rhs)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("lhs, rhs, message", [
+        (1, "a", "left side must be a string, got int"),
+        ("a", b"a", "right side must be a string, got bytes"),
+    ])
+    def test_equation_sides_are_strings(self, lhs, rhs, message):
+        with pytest.raises(TypeError) as info:
+            Equation(lhs, rhs)
+        assert str(info.value) == message
+
+    def test_presentation_holds_only_equations(self):
+        with pytest.raises(TypeError) as info:
+            Presentation((Equation("a", "b"), ("aa", "a")))
+        assert str(info.value) == "expected an Equation, got ('aa', 'a')"
 
     def test_round_trip(self):
         p = ceitin_presentation()
