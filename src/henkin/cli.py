@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--show-witness",
         action="store_true",
-        help="when true, print choice tables for the outer existential spine",
+        help="when true, print choice tables for the outer existential spine"
+        " and for a branched prefix right below it",
     )
     budget(p_eval, "search step limit")
 

@@ -5,8 +5,9 @@ big sentences encode its word problem with branched prefixes in two
 shapes.  The first uses twelve independent rows, two per function symbol
 (for the five letters and the composite cc); the second gets away with
 two universals by hanging ten existentials off the first and eight off
-the second.  Both come with their conjuncts individually labeled so tests
-can point at the exact clause that fails.
+the second.  Every conjunct of both is a labeled rule, stated by ``_rule``
+as two lists of name pairs: the equalities of the first imply those of the
+second.  The labels let tests point at the exact clause that fails.
 
 ``infinity_sentence`` is the classic branched sentence that is true
 exactly on infinite domains (an injective, non-surjective pairing forced
@@ -30,6 +31,7 @@ from .syntax import (
     Implies,
     Not,
     Variable,
+    conjoin,
     equal,
     free_variables,
     not_equal,
@@ -81,115 +83,53 @@ def ceitin_h12_prefix() -> HenkinPrefix:
     return HenkinPrefix(tuple(universals), tuple(existentials), tuple(deps))
 
 
+def _rule(
+    label: str, premises: list[tuple[str, str]], conclusions: list[tuple[str, str]]
+) -> tuple[str, Formula]:
+    """The labeled clause "the premise equalities imply the conclusion ones".
+
+    Each side is a list of name pairs; one pair stands as its bare atom.
+    """
+    lhs = conjoin(equal(a, b) for a, b in premises)
+    return label, Implies(lhs, conjoin(equal(a, b) for a, b in conclusions))
+
+
 def ceitin_h12_clauses() -> list[tuple[str, Formula]]:
-    """The twelve-row matrix, one labeled conjunct at a time.
+    """The twelve-row matrix, one labeled rule at a time.
 
     Each function symbol q owns two rows (x_q, y_q) and (x'_q, y'_q); the
-    one-function clauses glue each pair into a single unary function, the
-    compose clause defines cc as c applied twice, and each relation clause
-    asserts one equation of the presentation at an arbitrary point.
+    one-function rules glue each pair into a single unary function, the
+    compose rule defines cc as c applied twice, and each relation rule
+    asserts one equation of the presentation at an arbitrary point.  The
+    four commutations pq = qp are one template: when the first rows of p
+    and q start at one point t and each second row starts where the other
+    letter's first row ends, the second rows end alike, p(q(t)) = q(p(t)).
     """
-    out: list[tuple[str, Formula]] = []
-    for key in _H12_KEYS:
-        out.append(
-            (
-                f"one-function:{key}",
-                Implies(equal(f"x_{key}", f"x'_{key}"), equal(f"y_{key}", f"y'_{key}")),
-            )
-        )
-    out.append(
-        (
-            "compose:cc",
-            Implies(
-                And((equal("x_c", "x_cc"), equal("y_c", "x'_c"))),
-                equal("y'_c", "y_cc"),
-            ),
-        )
-    )
-    out.append(
-        (
-            "relation:ac=ca",
-            Implies(
-                And((equal("x_a", "x_c"), equal("x'_a", "y_c"), equal("x'_c", "y_a"))),
-                equal("y'_c", "y'_a"),
-            ),
-        )
-    )
-    out.append(
-        (
-            "relation:ad=da",
-            Implies(
-                And((equal("x_a", "x_d"), equal("x'_a", "y_d"), equal("x'_d", "y_a"))),
-                equal("y'_d", "y'_a"),
-            ),
-        )
-    )
-    out.append(
-        (
-            "relation:bc=cb",
-            Implies(
-                And((equal("x_b", "x_c"), equal("x'_b", "y_c"), equal("x'_c", "y_b"))),
-                equal("y'_c", "y'_b"),
-            ),
-        )
-    )
-    out.append(
-        (
-            "relation:bd=db",
-            Implies(
-                And((equal("x_b", "x_d"), equal("x'_b", "y_d"), equal("x'_d", "y_b"))),
-                equal("y'_d", "y'_b"),
-            ),
-        )
-    )
-    out.append(
-        (
+    out = [
+        _rule(f"one-function:{k}", [(f"x_{k}", f"x'_{k}")], [(f"y_{k}", f"y'_{k}")])
+        for k in _H12_KEYS
+    ]
+    out.append(_rule("compose:cc", [("x_c", "x_cc"), ("y_c", "x'_c")], [("y'_c", "y_cc")]))
+    for p, q in (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")):
+        premises = [(f"x_{p}", f"x_{q}"), (f"x'_{p}", f"y_{q}"), (f"x'_{q}", f"y_{p}")]
+        out.append(_rule(f"relation:{p}{q}={q}{p}", premises, [(f"y'_{q}", f"y'_{p}")]))
+    out += [
+        _rule(
             "relation:eca=ce",
-            Implies(
-                And(
-                    (
-                        equal("x_a", "x'_e"),
-                        equal("y_a", "x_c"),
-                        equal("y'_e", "x'_c"),
-                        equal("x_e", "y_c"),
-                    )
-                ),
-                equal("y_e", "y'_c"),
-            ),
-        )
-    )
-    out.append(
-        (
+            [("x_a", "x'_e"), ("y_a", "x_c"), ("y'_e", "x'_c"), ("x_e", "y_c")],
+            [("y_e", "y'_c")],
+        ),
+        _rule(
             "relation:edb=de",
-            Implies(
-                And(
-                    (
-                        equal("x_b", "x'_e"),
-                        equal("y_b", "x_d"),
-                        equal("y_d", "x_e"),
-                        equal("y'_e", "x'_d"),
-                    )
-                ),
-                equal("y_e", "y'_d"),
-            ),
-        )
-    )
-    out.append(
-        (
+            [("x_b", "x'_e"), ("y_b", "x_d"), ("y_d", "x_e"), ("y'_e", "x'_d")],
+            [("y_e", "y'_d")],
+        ),
+        _rule(
             "relation:cca=ccae",
-            Implies(
-                And(
-                    (
-                        equal("x_a", "x'_e"),
-                        equal("y_a", "x_cc"),
-                        equal("y'_e", "x'_a"),
-                        equal("y'_a", "x'_cc"),
-                    )
-                ),
-                equal("y_cc", "y'_cc"),
-            ),
-        )
-    )
+            [("x_a", "x'_e"), ("y_a", "x_cc"), ("y'_e", "x'_a"), ("y'_a", "x'_cc")],
+            [("y_cc", "y'_cc")],
+        ),
+    ]
     return out
 
 
@@ -234,36 +174,27 @@ def ceitin_e10_clauses() -> list[tuple[str, Formula]]:
     and the relation clauses assert the equations.
     """
     return [
-        ("compose:ca", Implies(equal("y_a", "x2"), equal("y_c", "y_ca"))),
-        ("compose:ac", Implies(equal("y_c", "x1"), equal("y_a", "y_ac"))),
-        ("compose:da", Implies(equal("y_a", "x2"), equal("y_da", "y_d"))),
-        ("compose:ad", Implies(equal("y_d", "x1"), equal("y_ad", "y_a"))),
-        ("compose:cb", Implies(equal("y_b", "x2"), equal("y_cb", "y_c"))),
-        ("compose:bc", Implies(equal("y_c", "x1"), equal("y_b", "y_bc"))),
-        ("compose:db", Implies(equal("y_b", "x2"), equal("y_db", "y_d"))),
-        ("compose:bd", Implies(equal("y_d", "x1"), equal("y_bd", "y_b"))),
-        ("one-function:e", Implies(equal("x1", "x2"), equal("y_e", "y'_e"))),
-        ("compose:eca", Implies(equal("y_ca", "x2"), equal("y_eca", "y'_e"))),
-        ("compose:de", Implies(equal("y_e", "x2"), equal("y_de", "y_d"))),
-        ("compose:cca", Implies(equal("y_ca", "x2"), equal("y_cca", "y_c"))),
-        ("one-function:cca", Implies(equal("x1", "x2"), equal("y_cca", "y'_cca"))),
-        (
+        _rule("compose:ca", [("y_a", "x2")], [("y_c", "y_ca")]),
+        _rule("compose:ac", [("y_c", "x1")], [("y_a", "y_ac")]),
+        _rule("compose:da", [("y_a", "x2")], [("y_da", "y_d")]),
+        _rule("compose:ad", [("y_d", "x1")], [("y_ad", "y_a")]),
+        _rule("compose:cb", [("y_b", "x2")], [("y_cb", "y_c")]),
+        _rule("compose:bc", [("y_c", "x1")], [("y_b", "y_bc")]),
+        _rule("compose:db", [("y_b", "x2")], [("y_db", "y_d")]),
+        _rule("compose:bd", [("y_d", "x1")], [("y_bd", "y_b")]),
+        _rule("one-function:e", [("x1", "x2")], [("y_e", "y'_e")]),
+        _rule("compose:eca", [("y_ca", "x2")], [("y_eca", "y'_e")]),
+        _rule("compose:de", [("y_e", "x2")], [("y_de", "y_d")]),
+        _rule("compose:cca", [("y_ca", "x2")], [("y_cca", "y_c")]),
+        _rule("one-function:cca", [("x1", "x2")], [("y_cca", "y'_cca")]),
+        _rule(
             "relation:ac=ca,ad=da,bc=cb,bd=db",
-            Implies(
-                equal("x1", "x2"),
-                And(
-                    (
-                        equal("y_ca", "y_ac"),
-                        equal("y_ad", "y_da"),
-                        equal("y_bc", "y_cb"),
-                        equal("y_db", "y_bd"),
-                    )
-                ),
-            ),
+            [("x1", "x2")],
+            [("y_ca", "y_ac"), ("y_ad", "y_da"), ("y_bc", "y_cb"), ("y_db", "y_bd")],
         ),
-        ("relation:eca=ce", Implies(equal("y_e", "x2"), equal("y_eca", "y_c"))),
-        ("relation:edb=de", Implies(equal("y_db", "x2"), equal("y_de", "y'_e"))),
-        ("relation:cca=ccae", Implies(equal("y_e", "x2"), equal("y_cca", "y'_cca"))),
+        _rule("relation:eca=ce", [("y_e", "x2")], [("y_eca", "y_c")]),
+        _rule("relation:edb=de", [("y_db", "x2")], [("y_de", "y'_e")]),
+        _rule("relation:cca=ccae", [("y_e", "x2")], [("y_cca", "y'_cca")]),
     ]
 
 

@@ -27,8 +27,10 @@ operands, each quantifier block and branched prefix), and in text so is
 every parenthesis.  The parser raises a ``ParseError`` at the opener of
 the first level past the limit, or at the operator whose node would put
 its already parsed left operand past it.  So every formula the parser
-accepts passes ``syntax.validate``, and ``format_formula`` refuses a tree
-that ``validate`` refuses.
+accepts passes ``syntax.validate``.  ``format_formula`` refuses only a tree
+that is too deep; it prints other trees ``validate`` refuses as they are,
+so ``And((TRUE,))`` prints as ``true`` and a prefix with a repeated
+existential prints as text the parser rejects.
 
 Presentations use a separate line-oriented format: one ``word = word``
 equation per line, with the same comment convention.

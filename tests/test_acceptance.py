@@ -8,6 +8,7 @@ from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
 import pytest
+from hypothesis import given, strategies as st
 
 from henkin import (
     Branch,
@@ -23,6 +24,7 @@ from henkin import (
     ceitin_h12,
     ceitin_h12_with_query,
     ceitin_presentation,
+    check_witness,
     compile_instance,
     ehrenfeucht_finiteness,
     evaluate,
@@ -256,6 +258,27 @@ def test_single_quantifier_route():
                 if m <= 3:
                     witness = find_witness(presentation, query, m)
                     assert (witness is not None) is expected, (lhs, rhs, m)
+
+
+_WORDS = st.text(alphabet="abc", min_size=1, max_size=3)
+_EQUATIONS = st.builds(Equation, _WORDS, _WORDS)
+
+
+@given(st.lists(_EQUATIONS, max_size=3), _EQUATIONS, st.integers(1, 3))
+def _routes_agree(equations, query, m):
+    presentation = Presentation(tuple(equations))
+    witness = find_witness(presentation, query, m)
+    assert evaluate(compile_instance(presentation, query), m) is (witness is not None)
+    if witness is not None:
+        assert check_witness(presentation, query, witness)
+
+
+def test_random_presentation_agreement():
+    """On random presentations over abc, the compiled sentence holds at a
+    size exactly when the oracle finds a separating model there, and every
+    model it finds checks."""
+    with criterion("random-presentation-agreement"):
+        _routes_agree()
 
 
 def test_ceitin_satisfiable_small():

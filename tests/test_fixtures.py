@@ -23,7 +23,7 @@ from henkin import (
     not_equal,
     validate,
 )
-from henkin.text import format_equation
+from henkin.text import format_equation, format_formula
 from henkin.fixtures import (
     ceitin_e10_clauses,
     ceitin_e10_prefix,
@@ -62,22 +62,31 @@ class TestH12:
             assert [v.name for v in d] == [u.name]
 
     def test_clause_labels(self):
-        labels = [label for label, _ in ceitin_h12_clauses()]
-        assert labels == [
-            "one-function:a",
-            "one-function:b",
-            "one-function:c",
-            "one-function:d",
-            "one-function:e",
-            "one-function:cc",
-            "compose:cc",
-            "relation:ac=ca",
-            "relation:ad=da",
-            "relation:bc=cb",
-            "relation:bd=db",
-            "relation:eca=ce",
-            "relation:edb=de",
-            "relation:cca=ccae",
+        texts = [(label, format_formula(f)) for label, f in ceitin_h12_clauses()]
+        assert texts == [
+            ("one-function:a", "x_a = x'_a -> y_a = y'_a"),
+            ("one-function:b", "x_b = x'_b -> y_b = y'_b"),
+            ("one-function:c", "x_c = x'_c -> y_c = y'_c"),
+            ("one-function:d", "x_d = x'_d -> y_d = y'_d"),
+            ("one-function:e", "x_e = x'_e -> y_e = y'_e"),
+            ("one-function:cc", "x_cc = x'_cc -> y_cc = y'_cc"),
+            ("compose:cc", "x_c = x_cc & y_c = x'_c -> y'_c = y_cc"),
+            ("relation:ac=ca", "x_a = x_c & x'_a = y_c & x'_c = y_a -> y'_c = y'_a"),
+            ("relation:ad=da", "x_a = x_d & x'_a = y_d & x'_d = y_a -> y'_d = y'_a"),
+            ("relation:bc=cb", "x_b = x_c & x'_b = y_c & x'_c = y_b -> y'_c = y'_b"),
+            ("relation:bd=db", "x_b = x_d & x'_b = y_d & x'_d = y_b -> y'_d = y'_b"),
+            (
+                "relation:eca=ce",
+                "x_a = x'_e & y_a = x_c & y'_e = x'_c & x_e = y_c -> y_e = y'_c",
+            ),
+            (
+                "relation:edb=de",
+                "x_b = x'_e & y_b = x_d & y_d = x_e & y'_e = x'_d -> y_e = y'_d",
+            ),
+            (
+                "relation:cca=ccae",
+                "x_a = x'_e & y_a = x_cc & y'_e = x'_a & y'_a = x'_cc -> y_cc = y'_cc",
+            ),
         ]
 
     def test_sentence_shape(self):
@@ -143,17 +152,29 @@ class TestE10:
         assert deps == [("x1",)] * 10 + [("x2",)] * 8
 
     def test_clause_labels(self):
-        labels = [label for label, _ in ceitin_e10_clauses()]
-        assert len(labels) == 17
-        assert labels[-4:] == [
-            "relation:ac=ca,ad=da,bc=cb,bd=db",
-            "relation:eca=ce",
-            "relation:edb=de",
-            "relation:cca=ccae",
+        texts = [(label, format_formula(f)) for label, f in ceitin_e10_clauses()]
+        assert texts == [
+            ("compose:ca", "y_a = x2 -> y_c = y_ca"),
+            ("compose:ac", "y_c = x1 -> y_a = y_ac"),
+            ("compose:da", "y_a = x2 -> y_da = y_d"),
+            ("compose:ad", "y_d = x1 -> y_ad = y_a"),
+            ("compose:cb", "y_b = x2 -> y_cb = y_c"),
+            ("compose:bc", "y_c = x1 -> y_b = y_bc"),
+            ("compose:db", "y_b = x2 -> y_db = y_d"),
+            ("compose:bd", "y_d = x1 -> y_bd = y_b"),
+            ("one-function:e", "x1 = x2 -> y_e = y'_e"),
+            ("compose:eca", "y_ca = x2 -> y_eca = y'_e"),
+            ("compose:de", "y_e = x2 -> y_de = y_d"),
+            ("compose:cca", "y_ca = x2 -> y_cca = y_c"),
+            ("one-function:cca", "x1 = x2 -> y_cca = y'_cca"),
+            (
+                "relation:ac=ca,ad=da,bc=cb,bd=db",
+                "x1 = x2 -> y_ca = y_ac & y_ad = y_da & y_bc = y_cb & y_db = y_bd",
+            ),
+            ("relation:eca=ce", "y_e = x2 -> y_eca = y_c"),
+            ("relation:edb=de", "y_db = x2 -> y_de = y'_e"),
+            ("relation:cca=ccae", "y_e = x2 -> y_cca = y'_cca"),
         ]
-        assert sum(1 for l in labels if l.startswith("compose:")) + sum(
-            1 for l in labels if l.startswith("one-function:")
-        ) == 13
 
     def test_sentence_shape(self):
         f = ceitin_e10()
