@@ -45,6 +45,18 @@ no admitted instance reads, satisfy every instance; so verdicts are
 unchanged, and the cells the search finds, with unread cells filled in
 any way, are choice tables witnessing the prefix.
 
+A conjunct ``A -> e1 = e2``, with existentials ``e1`` and ``e2``, no loose
+universals and only equalities of keyed universals as ``A``'s top-level
+conjuncts, is a functional-consistency clause (Ackermann 1954), such as
+``reducer``'s ``same-letter`` clauses.  Each equality of ``A`` is a guard
+inside one class, so ``A`` holds on every admitted tuple and an admitted
+instance is exactly ``cell1 = cell2``.  Grounding unites those two cells
+instead of storing the instance, and the search assigns one value per
+class of united cells, for a compiled sentence one table per letter.
+The classes are closed under domain permutations, because the admitted
+tuples are, so the transposition argument below holds with a class in
+place of a cell and its keys the keys of all of its cells.
+
 Both quantifier blocks and table cells break value symmetry (the
 least-number rule of SEM and Mace4).  The vocabulary is empty, so any
 permutation of the domain that fixes the values already bound is an
@@ -73,11 +85,12 @@ small instances.
 ``witness_tables`` runs the same compile and the same search as
 ``evaluate`` and reads its certificate off that one search: the values of
 the outer ``exists`` spine stay in their slots when the search succeeds,
-and each successful branch search leaves its cells and their values on
-the compile context, the last being the prefix ending the spine, whose
-node names the tables.  Cells no instance reads are reported as 0, one
-node each, so its verdict is ``evaluate``'s and so is its spend, plus one
-node per unread cell.
+and each successful branch search leaves its cells, their classes and
+the classes' values on the compile context, the last being the prefix
+ending the spine, whose node names the tables.  Each cell is reported at
+its class's value and cells no instance reads as 0, one node each, so
+its verdict is ``evaluate``'s and so is its spend, plus one node per
+unread cell.
 
 Both engines charge their search steps against a ``Budget`` and raise
 ``BudgetExceeded`` rather than run away.  Results are deterministic.
@@ -137,7 +150,7 @@ class _Ctx:
         self.m = m
         self.budget = budget
         self.nslots = 0
-        # (cells, cell values) of the last branch search that succeeded.
+        # (ground, class values) of the last branch search that succeeded.
         self.found = None
 
     def alloc(self) -> int:
@@ -226,7 +239,7 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
             values = _branch_search(ground, outer, env, ctx)
             if values is None:
                 return False
-            ctx.found = (ground[0], values)
+            ctx.found = (ground, values)
             return True
 
         return run_branch
@@ -288,6 +301,20 @@ def _guards(f: Formula) -> set[frozenset[str]]:
     return set()
 
 
+def _equates(part: Formula, exis, keyed) -> bool:
+    """Whether ``part`` is ``A -> e1 = e2`` for names ``e1``, ``e2`` in
+    ``exis`` and ``A``'s top-level conjuncts equalities of names in
+    ``keyed``: guards, so ``A`` holds on every admitted tuple.  Such a
+    conjunct mentions no other name, so it has no loose universals."""
+    if not (isinstance(part, Implies) and isinstance(part.consequent, EqualAtom)):
+        return False
+    ends = {part.consequent.left.name, part.consequent.right.name}
+    return ends <= exis and all(
+        isinstance(g, EqualAtom) and {g.left.name, g.right.name} <= keyed
+        for g in _conjuncts(part.antecedent)
+    )
+
+
 def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
     """Compile a branched prefix into its enclosing scope's slots and one
     ``(picks, spread, check)`` record per conjunct, in check order: fewest
@@ -300,7 +327,11 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
     position, and ``spread`` maps each keyed position to its class.  Its
     instances share ``check``, ``(keyed_slots, ex_slots, loose, test)``:
     the slots of its keyed universals, existentials and other universals,
-    and its compiled closure.
+    and its compiled closure.  ``check`` is None for a conjunct
+    ``A -> e1 = e2`` with existentials ``e1`` and ``e2`` and only
+    equalities of keyed universals as ``A``'s top-level conjuncts
+    (``_equates``): its admitted instances equate two cells, which
+    ``_ground`` merges.
     """
     prefix = node.prefix
     inner = dict(scope)
@@ -308,6 +339,7 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
         inner[v.name] = ctx.alloc()
     uni_index = {v.name: j for j, v in enumerate(prefix.universals)}
     deps = tuple(tuple(uni_index[d.name] for d in ds) for ds in prefix.deps)
+    exis = {e.name for e in prefix.existentials}
     conjuncts = []
     for part in _conjuncts(node.body):
         names = {v.name for v in free_variables(part)}
@@ -324,9 +356,11 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
                 first = [a if c == b else c for c in first]
         picks = tuple((i, tuple(map(keyed.index, deps[i]))) for i in exs)
         spread = tuple(map(sorted(set(first)).index, first))
-        keyed_slots = tuple(inner[prefix.universals[j].name] for j in keyed)
-        ex_slots = tuple(inner[prefix.existentials[i].name] for i in exs)
-        check = (keyed_slots, ex_slots, loose, _compile(part, inner, ctx))
+        check = None
+        if not _equates(part, exis, pos.keys()):
+            keyed_slots = tuple(inner[prefix.universals[j].name] for j in keyed)
+            ex_slots = tuple(inner[prefix.existentials[i].name] for i in exs)
+            check = (keyed_slots, ex_slots, loose, _compile(part, inner, ctx))
         conjuncts.append(((len(exs), len(keyed)), (picks, spread, check)))
     conjuncts.sort(key=lambda c: c[0])
     return tuple(scope.values()), [record for _, record in conjuncts]
@@ -341,19 +375,31 @@ def _ground(conjuncts, m: int, charge):
     cells hold and is never built.  The class values are enumerated in
     lexicographic order and spread onto the keyed positions; classes are
     numbered by their first position, so the admitted tuples come in the
-    lexicographic order of the full tuples.
+    lexicographic order of the full tuples.  An instance of a conjunct
+    whose ``check`` is None equates its two cells: they are united
+    (union-find) instead, and the search assigns one value per class of
+    united cells.
 
-    Returns ``(cells, first, checks)``: the cells ``(existential, key)`` in
-    order of first appearance, the instances that read no cell, and per
-    cell the instances whose last cell it is.  An instance is ``(values,
-    read, check)``: the keyed universals' values, the cells its
-    existentials read, and its conjunct's ``check``.  One node per
-    admitted tuple.
+    Returns ``(cells, group, top, first, checks)``: the cells
+    ``(existential, key)`` in order of first appearance, each cell's
+    class, numbered in order of first appearance, each class's largest
+    key value (-1 if none), the instances that read no cell, and per class
+    the instances whose last class it is.  An instance is ``(values,
+    read, check)``: the keyed universals' values, the classes of the
+    cells its existentials read, and its conjunct's ``check``.  One node
+    per admitted tuple.
     """
     cell_of: dict[tuple, int] = {}
     cells: list[tuple[int, tuple[int, ...]]] = []
-    first = []
-    checks: list[list] = []
+    parent: list[int] = []
+    insts = []
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
     for picks, spread, check in conjuncts:
         for classed in _assignments(max(spread, default=-1) + 1, m, m - 1):
             charge()
@@ -365,42 +411,54 @@ def _ground(conjuncts, m: int, charge):
                 if c is None:
                     c = cell_of[cell] = len(cells)
                     cells.append(cell)
-                    checks.append([])
+                    parent.append(c)
                 read.append(c)
-            inst = (values, tuple(read), check)
-            if read:
-                checks[max(read)].append(inst)
+            if check is None:
+                # The root of a class is its first cell.
+                a, b = root(read[0]), root(read[-1])
+                parent[max(a, b)] = min(a, b)
             else:
-                first.append(inst)
-    return cells, first, checks
+                insts.append((values, read, check))
+    number: dict[int, int] = {}
+    group = [number.setdefault(root(c), len(number)) for c in range(len(cells))]
+    top = [-1] * len(number)
+    for (_, key), k in zip(cells, group):
+        top[k] = max((top[k], *key))
+    first = []
+    checks: list[list] = [[] for _ in number]
+    for values, read, check in insts:
+        read = tuple(map(group.__getitem__, read))
+        (checks[max(read)] if read else first).append((values, read, check))
+    return cells, group, top, first, checks
 
 
 def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
     """Search for choice tables satisfying a branched prefix.
 
-    Returns the value of every cell, numbered as in ``_ground``, on
-    success, None on failure.
+    Returns the value of every class of united cells, numbered as in
+    ``_ground``, on success, None on failure.
 
-    Cells are assigned in order with conflict-directed backjumping
-    (Prosser 1993).  Cell i tries ``0 .. hi[i]``: one above the largest
-    value bound in the prefix's scope (slots ``outer``), in the keys of
-    cells 0..i and in cells 0..i-1, capped at m-1 (the module docstring
-    says why that is sound).  ``hi[i-1]`` covers all of that but cell
-    i-1's value and cell i's key, so the search sets ``hi[i]`` to
-    ``min(m-1, max(hi[i-1], value[i-1]+1, max(key_i)+1))`` as it enters
-    cell i.  An instance is checked when its last cell is assigned, its
-    loose universals looped inside the check; when it fails, its other
-    cells join the current cell's conflict set.  A cell that runs out of
-    values jumps back to the latest cell of its set, merging the rest of
-    the set into that cell's; an empty set means no assignment of the
-    other cells can help, so the prefix is false.  Instances that read no
-    cell are checked once, first.  One node per cell value tried and per
-    loose tuple checked.
+    Classes are assigned in order with conflict-directed backjumping
+    (Prosser 1993).  Class i tries ``0 .. hi[i]``: one above the largest
+    value bound in the prefix's scope (slots ``outer``), in the keys of the
+    cells of classes 0..i and in classes 0..i-1, capped at m-1 (the module
+    docstring says why that is sound).  ``hi[i-1]`` covers all of that but
+    class i-1's value and class i's keys, so the search sets ``hi[i]`` to
+    ``min(m-1, max(hi[i-1], value[i-1]+1, top[i]+1))`` as it enters class
+    i.  An instance is checked when its last class is assigned, its loose
+    universals looped inside the check; when it fails, its other classes
+    join the current class's conflict set.  A class that runs out of
+    values jumps back to the latest class of its set, merging the rest of
+    the set into that class's; an empty set means no assignment of the
+    other classes can help, so the prefix is false.  Instances that read
+    no cell are checked once, first.  One node per class value tried and
+    per loose tuple checked.
     """
     m = ctx.m
     charge = ctx.budget.charge
-    cells, first, checks = ground
-    value = [-1] * len(cells)
+    _, _, top, first, checks = ground
+    count = len(checks)
+    value = [-1] * count
 
     def holds(inst) -> bool:
         values, read, (keyed_slots, ex_slots, loose, test) = inst
@@ -420,12 +478,12 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
 
     if not all(holds(inst) for inst in first):
         return None
-    hi = [m - 1] * len(cells)
-    if cells:
-        hi[0] = min(m - 1, max((*map(env.__getitem__, outer), *cells[0][1]), default=-1) + 1)
-    conflicts: list[set[int]] = [set() for _ in cells]
+    hi = [m - 1] * count
+    if count:
+        hi[0] = min(m - 1, max((*map(env.__getitem__, outer), top[0])) + 1)
+    conflicts: list[set[int]] = [set() for _ in range(count)]
     i = 0
-    while i < len(cells):
+    while i < count:
         while value[i] < hi[i]:
             value[i] += 1
             charge()
@@ -435,7 +493,7 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
             conflicts[i].update(failed[1])
             conflicts[i].discard(i)
         else:
-            # Cell i is out of values: jump back to the latest cell to blame.
+            # Class i is out of values: jump back to the latest class to blame.
             blame = conflicts[i]
             if not blame:
                 return None
@@ -444,12 +502,12 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
             conflicts[i] |= blame
             continue
         i += 1
-        if i < len(cells):
+        if i < count:
             value[i] = -1
             conflicts[i].clear()
             hi[i] = hi[i - 1]
             if hi[i] < m - 1:  # once a bound reaches m - 1, so do all later ones
-                hi[i] = min(m - 1, max(hi[i], value[i - 1] + 1, max(cells[i][1], default=-1) + 1))
+                hi[i] = min(m - 1, max(hi[i], value[i - 1] + 1, top[i] + 1))
     return value
 
 
@@ -641,11 +699,11 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
         # Nothing runs after the spine's final branch search succeeds, and a
         # nested branch finishes before the branch around it.  Unread cells
         # get 0 at one node each: every table is total, its size budgeted.
-        cells, values = ctx.found
+        (cells, group, *_), values = ctx.found
         prefix = node.prefix
         tables = [{} for _ in prefix.existentials]
-        for (e, key), val in zip(cells, values):
-            tables[e][key] = val
+        for (e, key), k in zip(cells, group):
+            tables[e][key] = values[k]
         for v, deps, tab in zip(prefix.existentials, prefix.deps, tables):
             entries = []
             for key in _assignments(len(deps), size, size - 1):

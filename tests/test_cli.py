@@ -312,15 +312,15 @@ class TestCrosscheck:
 
     def test_budget_exhausted_keeps_the_sizes_before(self, capsys, canon_file):
         argv = ["--presentation", canon_file, "--query", "ab = ba", "--max-size", "4"]
-        assert main(["crosscheck"] + argv + ["--budget", "300"]) == 4
+        assert main(["crosscheck"] + argv + ["--budget", "120"]) == 4
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [
             "m=1: eval=false oracle=none agree",
             "m=2: eval=true oracle=witness agree",
         ]
-        # evaluate spends 21 / 135 / 448 nodes at m = 1..3.
+        # evaluate spends 21 / 87 / 180 nodes at m = 1..3, find_witness 2 / 5 / 15.
         assert captured.err == (
-            "error: search budget of 300 nodes exceeded at domain size 3 in evaluate\n"
+            "error: search budget of 120 nodes exceeded at domain size 3 in evaluate\n"
         )
 
     def test_budget_exhausted_names_the_oracle_route(self, capsys, tmp_path):

@@ -16,9 +16,12 @@ from henkin import (
     Presentation,
     SkolemTable,
     Variable,
+    Witness,
     ceitin_e10,
     ceitin_h12,
     ceitin_presentation,
+    check_witness,
+    conjoin,
     ehrenfeucht_finiteness,
     equal,
     evaluate,
@@ -32,6 +35,7 @@ from henkin import (
     reducer,
     witness_tables,
 )
+from henkin import evaluator
 from henkin.evaluator import _guards
 
 from _corpus import (
@@ -487,7 +491,7 @@ class TestGroundedSearch:
             budget = Budget()
             assert evaluate(ceitin_h12(), m, budget=budget) is True
             spent.append(budget.spent)
-        assert spent == [414, 1_112, 2_490, 4_896, 8_750]
+        assert spent == [396, 1_088, 2_460, 4_860, 8_708]
 
     def test_crosscheck_at_size_four_node_guard(self):
         spent = 0
@@ -499,13 +503,13 @@ class TestGroundedSearch:
         assert spent < 100_000
 
     def test_crosscheck_node_counts(self):
-        # Exact counts per instance at m = 4 and 5 (17,750 and 37,770 in
+        # Exact counts per instance at m = 4 and 5 (4,759 and 6,968 in
         # all).  The order of the conjuncts alone moves them 50-fold, so a
-        # change to the grounding, the cell order or the cell bound shows
-        # here and must update them.
+        # change to the grounding, the merging, the cell order or the cell
+        # bound shows here and must update them.
         expected = {
-            4: [589, 37, 9_740, 22, 69, 204, 379, 4_045, 249, 2_117, 121, 178],
-            5: [728, 39, 26_990, 26, 77, 238, 461, 5_813, 303, 2_690, 147, 258],
+            4: [233, 37, 1_058, 22, 69, 157, 211, 1_151, 157, 1_394, 109, 161],
+            5: [284, 39, 1_553, 26, 77, 177, 244, 1_517, 188, 2_494, 132, 237],
         }
         for m, counts in expected.items():
             spent = []
@@ -549,3 +553,120 @@ class TestGroundedSearch:
         # An arity-2 table has 3**9 fillings at m=3, too many for the naive engine.
         m = data.draw(st.integers(1, 2 if 2 in (len(dw), len(dy)) else 3))
         assert evaluate(f, m) == evaluate_naive(f, m)
+
+
+def _merged(monkeypatch, f, m) -> tuple[bool, int]:
+    """``evaluate(f, m)``, and how many conjuncts of the branched prefixes
+    it grounds ``_ground`` merges (those whose ``check`` is None)."""
+    ground, merged = evaluator._ground, []
+
+    def spy(conjuncts, *args):
+        merged.extend(check is None for _, _, check in conjuncts)
+        return ground(conjuncts, *args)
+
+    monkeypatch.setattr(evaluator, "_ground", spy)
+    return evaluate(f, m), sum(merged)
+
+
+class TestMergedCells:
+    """Cells a functional-consistency clause equates are searched as one."""
+
+    @pytest.mark.parametrize(
+        "text, merged",
+        [
+            ("exists t . H{ forall x z ; y(x), w(z) } . (x = t -> y = w) & y = x", 0),
+            ("H{ forall x z u ; y(x), w(z) } . (x = u -> y = w) & y = x", 0),
+            ("H{ forall x z ; y(x), w(z) } . (x != z -> y = w) & y = x", 0),
+            ("H{ forall x z ; y(x), w(z) } . ((x = z | x = z) -> y = w) & y = x", 0),
+            ("H{ forall x z u ; y(x), w(z) } . ((x = z & u = u) -> y = w) & y != u", 0),
+            ("H{ forall x z u ; y(x), w(z) } . (x = z -> y = u) & w = z", 0),
+            ("H{ forall x z ; y(x), w(z) } . (x = z -> y = w) & y = x", 1),
+            ("H{ forall x z ; y(x z) } . (x = z -> y = y) & (x = z -> y = x)", 1),
+            ("H{ forall x ; c(), y(x) } . (x = x -> c = y) & y = x", 1),
+            ("H{ forall x ; c(), y(x) } . (x = x -> c = y) & (x = c | y != x)", 1),
+            (
+                "H{ forall x ; y(x) } . (y = x & H{ forall x z ; y(x), w(z) } ."
+                " ((x = z -> y = w) & w != z))",
+                1,
+            ),
+        ],
+        ids=[
+            "spine-in-antecedent",
+            "loose-in-antecedent",
+            "disequality-antecedent",
+            "non-atom-antecedent",
+            "loose-beside-guard",
+            "loose-in-consequent",
+            "two-rows",
+            "cell-equals-itself",
+            "arity-zero",
+            "arity-zero-true",
+            "nested-rebinding",
+        ],
+    )
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_shapes_agree_with_naive_engine(self, monkeypatch, text, merged, m):
+        f = P(text)
+        verdict, count = _merged(monkeypatch, f, m)
+        assert count == merged
+        assert verdict == evaluate_naive(f, m)
+        if verdict:
+            assert _tables_hold(f, m, witness_tables(f, m))
+
+    @given(st.data())
+    def test_small_prefixes_agree_with_naive_engine(self, data):
+        unis = data.draw(st.sampled_from([("x",), ("u", "x")]))
+        exis = ("w", "y", "v")[: data.draw(st.integers(1, 3))]
+        keys = [()] + [(a,) for a in unis] + ([unis, unis[::-1]] if len(unis) == 2 else [])
+        deps = {e: data.draw(st.sampled_from(keys)) for e in exis}
+        guard = st.builds(equal, st.sampled_from(unis), st.sampled_from(unis))
+        consistency = st.builds(
+            lambda eqs, a, b: Implies(conjoin(eqs), equal(a, b)),
+            st.lists(guard, min_size=1, max_size=2),
+            st.sampled_from(exis),
+            st.sampled_from(exis),
+        )
+        parts = st.lists(st.one_of(consistency, _quantifier_free(unis + exis)), min_size=1, max_size=4)
+        f = Branch(mk_prefix(unis, exis, deps), conjoin(data.draw(parts)))
+        m = data.draw(st.integers(1, 2))
+        verdict = evaluate(f, m)
+        assert verdict == evaluate_naive(f, m)
+        if verdict:
+            assert _tables_hold(f, m, witness_tables(f, m))
+
+    def test_true_compiled_instances_read_off_as_letter_models(self):
+        # Rows carrying one letter report one table, and the letter tables
+        # with the point t_l form a model that oracle.check_witness accepts.
+        instances = [(Presentation.of(e), Equation(*q)) for e, q, _ in CROSSCHECK_INSTANCES]
+        instances += [(ceitin_presentation(), Equation(q, q[::-1])) for q in ("ab", "ae", "ce")]
+        checked = 0
+        for presentation, query in instances:
+            sentence = reducer.compile(presentation, query)
+            rows = reducer.plan_rows(presentation, query).rows
+            for m in (1, 2, 3):
+                tables = witness_tables(sentence, m)
+                if tables is None:
+                    continue
+                given = {t.owner: t.entries for t in tables}
+                letters = {}
+                for row in rows:
+                    entries = letters.setdefault(row.letter, given[row.existential.name])
+                    assert entries == given[row.existential.name], (query, m, row)
+                point = given[f"t{len(query.lhs)}"][0][1]
+                model = {c: tuple(v for _, v in entries) for c, entries in letters.items()}
+                assert check_witness(presentation, query, Witness(m, model, point)), (query, m)
+                checked += 1
+        assert checked == 16
+
+    def test_frontier_node_guard(self):
+        # At m=6: 3,560 and 8,867 nodes for the mirrored pair (168,758 and
+        # 3,210 before merging), 15,868 for all twelve (181,636 before).
+        spent = {}
+        for equations, query, _ in CROSSCHECK_INSTANCES:
+            sentence = reducer.compile(Presentation.of(equations), Equation(*query))
+            budget = Budget()
+            evaluate(sentence, 6, budget=budget)
+            spent[tuple(equations), query] = budget.spent
+        assert spent[(("ab", "ba"),), ("ab", "ba")] < 12_000
+        assert spent[(("ba", "ab"),), ("ab", "ba")] < 12_000
+        assert sum(spent.values()) < 20_000
