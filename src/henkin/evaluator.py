@@ -32,8 +32,8 @@ the intersection of its operands' guards, and nothing else gives any
 Guards between two keyed universals join keyed positions into classes,
 and a conjunct is grounded only on the key tuples that are constant on
 every class, its *admitted* tuples; the others are never generated.  So
-``ceitin-h12`` at m=3 grounds 378 instances, where grounding every key
-tuple gave 1,134 and walking the universal tuples 3**12.  This is sound
+``ceitin-h12`` at m=3 admits 378 tuples, where grounding every key tuple
+gave 1,134 and walking the universal tuples 3**12.  This is sound
 for three reasons.  (1) A skipped instance holds whatever the cells hold,
 so it never fails and never enters a conflict set; a cell only skipped
 instances read is not searched at all.  (2) A permutation of the domain
@@ -80,7 +80,8 @@ quantifier block's complete assignments and, at a branched prefix,
 complete sets of choice tables, checking the matrix on every universal
 tuple; it recurses only down the formula tree.  Its cost explodes
 quickly; it exists so the two engines can cross-check each other on
-small instances.
+small instances.  ``table_failures`` runs the same loop on given choice
+tables, one labelled clause at a time, and names the clauses they break.
 
 ``witness_tables`` runs the same compile and the same search as
 ``evaluate`` and reads its certificate off that one search: the values of
@@ -110,6 +111,7 @@ from .syntax import (
     Exists,
     ForAll,
     Formula,
+    HenkinPrefix,
     Iff,
     Implies,
     Not,
@@ -124,6 +126,7 @@ __all__ = [
     "evaluate",
     "evaluate_naive",
     "find_min_model",
+    "table_failures",
     "witness_tables",
 ]
 
@@ -562,38 +565,41 @@ def _neval(f: Formula, env: dict[str, int], m: int, budget: Budget) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _tables_hold(uni, exis, body: Formula, tables, env: dict[str, int], m: int, budget) -> bool:
+    """Whether ``body`` holds on every tuple of the universals ``uni`` when
+    each existential of ``exis``, a list of (name, dependency names), reads
+    ``tables[name]`` at its key.  ``env`` binds the names around and takes
+    each tuple's values in turn.  One node per universal tuple."""
+    for combo in _tuples(len(uni), m):
+        budget.charge()
+        env.update(zip(uni, combo))
+        for e, deps in exis:
+            env[e] = tables[e][tuple(env[d] for d in deps)]
+        if not _neval(body, env, m, budget):
+            return False
+    return True
+
+
 def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> bool:
     prefix = f.prefix
     uni = [v.name for v in prefix.universals]
-    exis = list(zip(prefix.existentials, prefix.deps))
-    tables: list[dict[tuple[int, ...], int]] = [{} for _ in exis]
+    exis = [(e.name, [d.name for d in ds]) for e, ds in zip(prefix.existentials, prefix.deps)]
+    tables: dict[str, dict[tuple[int, ...], int]] = {e: {} for e, _ in exis}
     # Every cell of every table; the first existential's vary slowest.
     # One node per cell listed, so a budget stops a huge table set early.
     cells = []
-    for tab, (_, deps) in zip(tables, exis):
+    for e, deps in exis:
         for key in _tuples(len(deps), m):
             budget.charge()
-            cells.append((tab, key))
+            cells.append((tables[e], key))
     env = dict(env)  # the prefix binds its variables in a copy too
-
-    def check_all() -> bool:
-        for combo in _tuples(len(uni), m):
-            budget.charge()
-            for name, val in zip(uni, combo):
-                env[name] = val
-            for (e, deps), tab in zip(exis, tables):
-                env[e.name] = tab[tuple(env[d.name] for d in deps)]
-            if not _neval(f.body, env, m, budget):
-                return False
-        return True
-
     # Count through the fillings in lexicographic order, the last cell
     # fastest, rewriting only the cells that change.
     for tab, key in cells:
         tab[key] = 0
     while True:
         budget.charge()
-        if check_all():
+        if _tables_hold(uni, exis, f.body, tables, env, m, budget):
             return True
         for tab, key in reversed(cells):
             if tab[key] < m - 1:
@@ -652,6 +658,25 @@ def evaluate_naive(f: Formula, size: int, env=None, budget: Budget | None = None
     bound = _prepare(f, size, env)
     budget = budget if budget is not None else Budget()
     return _neval(f, bound, size, budget)
+
+
+def table_failures(prefix: HenkinPrefix, clauses, tables, size: int, env=None) -> list[str]:
+    """Labels of the ``(label, formula)`` clauses that fail, in order, when
+    each existential of ``prefix`` reads ``tables[name]``, a dict from key
+    to value.  A clause is checked on every tuple of the universals it
+    reads, directly or through a dependency, as ``evaluate_naive`` checks a
+    matrix; ``env`` binds the names outside the prefix."""
+    deps = {e.name: [d.name for d in ds] for e, ds in zip(prefix.existentials, prefix.deps)}
+    failures = []
+    for label, clause in clauses:
+        bound = _prepare(Branch(prefix, clause), size, env)
+        names = {v.name for v in free_variables(clause)}
+        exis = [(e, ds) for e, ds in deps.items() if e in names]
+        needed = names.union(*(ds for _, ds in exis))
+        uni = [v.name for v in prefix.universals if v.name in needed]
+        if not _tables_hold(uni, exis, clause, tables, bound, size, Budget()):
+            failures.append(label)
+    return failures
 
 
 def find_min_model(f: Formula, max_size: int, budget: Budget | None = None) -> int | None:

@@ -17,9 +17,7 @@ true on every finite domain and no infinite one.
 
 from __future__ import annotations
 
-import itertools
-
-from .evaluator import evaluate_naive
+from .evaluator import table_failures
 from .reducer import separation_clauses
 from .syntax import (
     And,
@@ -33,7 +31,6 @@ from .syntax import (
     Variable,
     conjoin,
     equal,
-    free_variables,
     not_equal,
 )
 from .words import Equation, Presentation
@@ -228,36 +225,15 @@ def identity_check_failures(
     """Labels of clauses that fail under identity tables.
 
     Every existential of ``prefix`` must depend on exactly one universal;
-    the check sets it equal to that universal.  A clause is only sensitive
-    to the universals it mentions, directly or through an existential, so
-    those are the only ones enumerated.  Each clause is decided by the
-    reference engine ``evaluate_naive``, so the fixtures are not checked
-    by the search engine they exist to test.  A correctly built matrix over
-    these fixtures passes for every clause; a nonempty result names the
-    conjunct that was mangled.
+    the check sets it equal to that universal.  The clauses are checked by
+    the reference engine's loop (``evaluator.table_failures``), so the
+    fixtures are not checked by the search engine they exist to test.  A
+    correctly built matrix over these fixtures passes for every clause; a
+    nonempty result names the conjunct that was mangled.
     """
-    dep_of: dict[str, str] = {}
     for e, ds in zip(prefix.existentials, prefix.deps):
         if len(ds) != 1:
             raise ValueError(f"existential '{e}' does not have exactly one dependency")
-        dep_of[e.name] = ds[0].name
-    universal_names = {v.name for v in prefix.universals}
-    failures = []
-    for label, clause in clauses:
-        mentioned = {v.name for v in free_variables(clause)}
-        relevant = sorted(
-            (mentioned & universal_names)
-            | {dep_of[name] for name in mentioned if name in dep_of}
-        )
-        ok = True
-        for combo in itertools.product(range(size), repeat=len(relevant)):
-            env = dict(zip(relevant, combo))
-            for name in mentioned:
-                if name in dep_of:
-                    env[name] = env[dep_of[name]]
-            if not evaluate_naive(clause, size, env=env):
-                ok = False
-                break
-        if not ok:
-            failures.append(label)
-    return failures
+    identity = {(v,): v for v in range(size)}
+    tables = {e.name: identity for e in prefix.existentials}
+    return table_failures(prefix, clauses, tables, size)

@@ -30,6 +30,15 @@ def apply_word(word: str, point: int, tables: dict[str, tuple[int, ...]]) -> int
     return point
 
 
+def _equations_hold(equations, size: int, tables: dict[str, tuple[int, ...]]) -> bool:
+    """Whether each equation's two words act alike on every point."""
+    for eq in equations:
+        for x in range(size):
+            if apply_word(eq.lhs, x, tables) != apply_word(eq.rhs, x, tables):
+                return False
+    return True
+
+
 @dataclass(frozen=True, slots=True)
 class Witness:
     """A separating model: letter tables over {0..size-1} and a point."""
@@ -69,12 +78,9 @@ def check_witness(presentation: Presentation, query: Equation, witness: Witness)
         for val in table:
             if not 0 <= val < size:
                 raise ValueError(f"table for '{ch}' maps outside [0, {size})")
-    for eq in presentation.equations:
-        for x in range(size):
-            if apply_word(eq.lhs, x, witness.tables) != apply_word(eq.rhs, x, witness.tables):
-                return False
-    return apply_word(query.lhs, witness.point, witness.tables) != apply_word(
-        query.rhs, witness.point, witness.tables
+    tables, point = witness.tables, witness.point
+    return _equations_hold(presentation.equations, size, tables) and (
+        apply_word(query.lhs, point, tables) != apply_word(query.rhs, point, tables)
     )
 
 
@@ -101,13 +107,6 @@ def find_witness(
         ready[max(index[ch] for ch in eq.letters())].append(eq)
     tables: dict[str, tuple[int, ...]] = {}
 
-    def equations_hold(eqs: list[Equation]) -> bool:
-        for eq in eqs:
-            for x in range(size):
-                if apply_word(eq.lhs, x, tables) != apply_word(eq.rhs, x, tables):
-                    return False
-        return True
-
     def assign(d: int) -> Witness | None:
         if d == len(letters):
             for x in range(size):
@@ -118,7 +117,7 @@ def find_witness(
         for table in itertools.product(range(size), repeat=size):
             budget.charge()
             tables[ch] = table
-            if equations_hold(ready[d]):
+            if _equations_hold(ready[d], size, tables):
                 found = assign(d + 1)
                 if found is not None:
                     return found

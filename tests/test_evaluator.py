@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,6 +35,7 @@ from henkin import (
 )
 from henkin import evaluator
 from henkin.evaluator import _guards
+from henkin.fixtures import ceitin_h12_clauses, ceitin_h12_prefix
 
 from _corpus import (
     CROSSCHECK_INSTANCES,
@@ -320,35 +319,54 @@ class TestSymmetryBreaking:
         assert evaluate(f, m, env) == evaluate_naive(f, m, env)
 
 
-def _conjuncts(f):
-    return [g for part in f.items for g in _conjuncts(part)] if isinstance(f, And) else [f]
-
-
 def _tables_hold(f, m, tables) -> bool:
-    """Check witness tables with the reference engine alone: plug the spine
-    values and the branch tables into the matrix and evaluate it on every
-    universal tuple.  Each conjunct is checked on the tuples of the
-    universals it reads, directly or through a table's key, which is the
-    same because a universal quantifier distributes over a conjunction."""
+    """Check witness tables with the reference engine's loop alone: plug the
+    spine values and the branch tables into each conjunct of the matrix."""
     given = {t.owner: dict(t.entries) for t in tables}
     env = {}
     while isinstance(f, Exists):
         env.update((v.name, given[v.name][()]) for v in f.variables)
         f = f.body
-    prefix = f.prefix
-    deps = {e.name: [d.name for d in ds] for e, ds in zip(prefix.existentials, prefix.deps)}
-    for part in _conjuncts(f.body):
-        names = {v.name for v in free_variables(part)}
-        read = names & deps.keys()
-        needed = names.union(*(deps[n] for n in read))
-        unis = [u.name for u in prefix.universals if u.name in needed]
-        for values in itertools.product(range(m), repeat=len(unis)):
-            point = {**env, **dict(zip(unis, values))}
-            for n in read:
-                point[n] = given[n][tuple(point[d] for d in deps[n])]
-            if not evaluate_naive(part, m, point):
-                return False
-    return True
+    parts = [(str(i), g) for i, g in enumerate(evaluator._conjuncts(f.body))]
+    return evaluator.table_failures(f.prefix, parts, given, m, env) == []
+
+
+def _h12_case():
+    return ceitin_h12(), ceitin_h12_prefix(), ceitin_h12_clauses()
+
+
+def _crosscheck_case():
+    presentation, query = Presentation.of([("ab", "b")]), Equation("ab", "ba")
+    sentence = reducer.compile(presentation, query)
+    return sentence, sentence.body.prefix, reducer.clauses(reducer.plan_rows(presentation, query))
+
+
+class TestTableFailures:
+    # Both witnesses at m=3 are found by the search; moving one cell they
+    # read to the next value breaks every rule that reads it there.
+    @pytest.mark.parametrize(
+        "case, cell, readers",
+        [
+            (_h12_case, "y_cc", ["one-function:cc", "compose:cc", "relation:cca=ccae"]),
+            (
+                _crosscheck_case,
+                "r1_1",
+                ["same-letter:b:x1_2,z1_1", "same-letter:b:z1_1,u_b", "equation:1"],
+            ),
+        ],
+        ids=["ceitin-h12", "crosscheck"],
+    )
+    def test_a_wrong_cell_names_its_readers(self, case, cell, readers):
+        sentence, prefix, clauses = case()
+        tables = {t.owner: dict(t.entries) for t in witness_tables(sentence, 3)}
+        assert evaluator.table_failures(prefix, clauses, tables, 3) == []
+        tables[cell][(0,)] = (tables[cell][(0,)] + 1) % 3
+        assert evaluator.table_failures(prefix, clauses, tables, 3) == readers
+
+    def test_a_name_outside_the_prefix_is_a_value_error(self):
+        tables = {"y_a": {(0,): 0}}
+        with pytest.raises(ValueError, match="unbound free variables: z"):
+            evaluator.table_failures(ceitin_h12_prefix(), [("c", equal("y_a", "z"))], tables, 1)
 
 
 class TestBranchSymmetry:
@@ -471,14 +489,15 @@ class TestGroundedSearch:
         assert budget.spent < 10_000
 
     def test_ceitin_h12_node_guard(self):
-        # 378 ground instances (1,134 without the functionality clauses'
-        # guards); walking the universal tuples cost 531,441.
+        # 378 admitted tuples, 360 instances stored (1,134 tuples without the
+        # functionality clauses' guards); walking the universal tuples cost
+        # 531,441.
         budget = Budget()
         assert evaluate(ceitin_h12(), 3, budget=budget) is True
         assert budget.spent < 2_000
 
     def test_ceitin_h12_size_five_node_guard(self):
-        # 2,490 nodes; grounding the tuples the guards skip cost 12,210.
+        # 2,460 nodes; grounding the tuples the guards skip cost 12,210.
         budget = Budget()
         assert evaluate(ceitin_h12(), 5, budget=budget) is True
         assert budget.spent < 5_000
