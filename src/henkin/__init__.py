@@ -18,7 +18,6 @@ sentence and the brute-force search side by side.
 
 from .budget import DEFAULT_BUDGET, Budget, BudgetExceeded
 from .evaluator import (
-    SkolemTable,
     evaluate,
     evaluate_naive,
     find_min_model,
@@ -67,6 +66,7 @@ from .text import (
     ParseError,
     format_formula,
     format_presentation,
+    format_tables,
     parse_equation,
     parse_formula,
     parse_presentation,
@@ -79,7 +79,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "Budget",
     "BudgetExceeded",
-    "SkolemTable",
     "evaluate",
     "evaluate_naive",
     "find_min_model",
@@ -125,6 +124,7 @@ __all__ = [
     "ParseError",
     "format_formula",
     "format_presentation",
+    "format_tables",
     "parse_equation",
     "parse_formula",
     "parse_presentation",

@@ -34,6 +34,7 @@ from .syntax import And, Branch, Exists
 from .text import (
     format_formula,
     format_presentation,
+    format_tables,
     parse_equation,
     parse_formula,
     parse_presentation,
@@ -162,10 +163,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         result = evaluate(f, args.size, budget=Budget(args.budget))
     print("true" if result else "false")
     if result and args.show_witness:
-        for table in tables:
-            print(table.format())
-        if not tables:
-            print("witness: (no outer existential spine to tabulate)")
+        print(format_tables(tables) or "witness: (no outer existential spine to tabulate)")
     return EXIT_TRUE if result else EXIT_FALSE
 
 

@@ -83,23 +83,21 @@ quickly; it exists so the two engines can cross-check each other on
 small instances.  ``table_failures`` runs the same loop on given choice
 tables, one labelled clause at a time, and names the clauses they break.
 
-``witness_tables`` runs the same compile and the same search as
-``evaluate`` and reads its certificate off that one search: the values of
-the outer ``exists`` spine stay in their slots when the search succeeds,
-and each successful branch search leaves its cells, their classes and
-the classes' values on the compile context, the last being the prefix
-ending the spine, whose node names the tables.  Each cell is reported at
-its class's value and cells no instance reads as 0, one node each, so
-its verdict is ``evaluate``'s and so is its spend, plus one node per
-unread cell.
+``witness_tables`` runs ``evaluate``'s compile and search and reads the
+``{name: {key: value}}`` tables ``table_failures`` checks off that one
+search: the outer ``exists`` spine's values stay in their slots when the
+search succeeds, and each successful branch search leaves its cells,
+their classes and the classes' values on the compile context, the last
+being the prefix ending the spine, whose node names the tables.  Each
+cell is reported at its class's value and cells no instance reads as 0,
+one node each, so its verdict is ``evaluate``'s and so is its spend,
+plus one node per unread cell.
 
 Both engines charge their search steps against a ``Budget`` and raise
 ``BudgetExceeded`` rather than run away.  Results are deterministic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .budget import Budget, BudgetExceeded
 from .syntax import (
@@ -122,28 +120,12 @@ from .syntax import (
 )
 
 __all__ = [
-    "SkolemTable",
     "evaluate",
     "evaluate_naive",
     "find_min_model",
     "table_failures",
     "witness_tables",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class SkolemTable:
-    """One choice table from a witness: owner name, arity, sorted cells."""
-
-    owner: str
-    arity: int
-    entries: tuple[tuple[tuple[int, ...], int], ...]
-
-    def format(self) -> str:
-        cells = " ".join(
-            "(" + ",".join(str(k) for k in key) + ")->" + str(val) for key, val in self.entries
-        )
-        return f"{self.owner}: {cells}"
 
 
 class _Ctx:
@@ -663,9 +645,9 @@ def evaluate_naive(f: Formula, size: int, env=None, budget: Budget | None = None
 def table_failures(prefix: HenkinPrefix, clauses, tables, size: int, env=None) -> list[str]:
     """Labels of the ``(label, formula)`` clauses that fail, in order, when
     each existential of ``prefix`` reads ``tables[name]``, a dict from key
-    to value.  A clause is checked on every tuple of the universals it
-    reads, directly or through a dependency, as ``evaluate_naive`` checks a
-    matrix; ``env`` binds the names outside the prefix."""
+    to value, as in ``witness_tables``.  A clause is checked on every tuple
+    of the universals it reads, directly or through a dependency, as
+    ``evaluate_naive`` checks a matrix; ``env`` binds the names the prefix leaves free."""
     deps = {e.name: [d.name for d in ds] for e, ds in zip(prefix.existentials, prefix.deps)}
     failures = []
     for label, clause in clauses:
@@ -702,22 +684,23 @@ def find_min_model(f: Formula, max_size: int, budget: Budget | None = None) -> i
 def witness_tables(f: Formula, size: int, budget: Budget | None = None):
     """Choice tables witnessing a true sentence, or None if it is false.
 
-    Reports the outermost spine of existential blocks as arity-0 tables,
-    then the tables of an optional branched prefix right below it, both as
-    found by the one search that decides ``f``.  Quantifiers past the
-    spine are not tabulated.
-    """
+    Returns ``{name: {key: value}}``, the form ``table_failures`` checks:
+    the outermost spine of existential blocks as ``{(): value}``, then the
+    tables of an optional branched prefix right below it, keys in
+    lexicographic order, both as found by the one search that decides
+    ``f``.  Quantifiers past the spine are not tabulated; a name bound
+    twice keeps its first place and its inner binder's table."""
     verdict, env, ctx = _search(f, size, None, budget)
     if not verdict:
         return None
-    out: list[SkolemTable] = []
+    tables: dict[str, dict[tuple[int, ...], int]] = {}
     # A sentence binds nothing free, so the spine's binders own the first
     # slots, in order.
     slot = 0
     node = f
     while isinstance(node, Exists):
         for v in node.variables:
-            out.append(SkolemTable(v.name, 0, (((), env[slot]),)))
+            tables[v.name] = {(): env[slot]}
             slot += 1
         node = node.body
     if isinstance(node, Branch):
@@ -726,14 +709,13 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
         # get 0 at one node each: every table is total, its size budgeted.
         (cells, group, *_), values = ctx.found
         prefix = node.prefix
-        tables = [{} for _ in prefix.existentials]
+        found = [{} for _ in prefix.existentials]
         for (e, key), k in zip(cells, group):
-            tables[e][key] = values[k]
-        for v, deps, tab in zip(prefix.existentials, prefix.deps, tables):
-            entries = []
+            found[e][key] = values[k]
+        for v, deps, tab in zip(prefix.existentials, prefix.deps, found):
+            table = tables[v.name] = {}
             for key in _assignments(len(deps), size, size - 1):
                 if key not in tab:
                     ctx.budget.charge()
-                entries.append((key, tab.get(key, 0)))
-            out.append(SkolemTable(v.name, len(deps), tuple(entries)))
-    return out
+                table[key] = tab.get(key, 0)
+    return tables

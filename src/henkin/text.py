@@ -33,7 +33,8 @@ so ``And((TRUE,))`` prints as ``true`` and a prefix with a repeated
 existential prints as text the parser rejects.
 
 Presentations use a separate line-oriented format: one ``word = word``
-equation per line, with the same comment convention.
+equation per line, with the same comment convention.  Choice tables, as
+``witness_tables`` returns them, print one ``name: (k,...)->v ...`` line each.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ __all__ = [
     "parse_equation",
     "format_presentation",
     "format_equation",
+    "format_tables",
 ]
 
 
@@ -380,7 +382,7 @@ def _word(segment: str, lineno: int, base_col: int, side: str, anchor_col: int) 
     return stripped
 
 
-def parse_equation_line(line: str, lineno: int) -> Equation:
+def _equation_line(line: str, lineno: int) -> Equation:
     bare = line.split("#", 1)[0]
     if "=" not in bare:
         col = len(bare) - len(bare.lstrip()) + 1
@@ -406,7 +408,7 @@ def parse_equation(source: str) -> Equation:
     if len(lines) > 1:
         raise ParseError("expected a single equation", SourceSpan(lines[1][0], 1))
     lineno, raw = lines[0]
-    return parse_equation_line(raw, lineno)
+    return _equation_line(raw, lineno)
 
 
 def parse_presentation(source: str) -> Presentation:
@@ -416,7 +418,7 @@ def parse_presentation(source: str) -> Presentation:
     empty until combined with a query.
     """
     lines = _numbered_lines(source)
-    return Presentation.of(parse_equation_line(raw, lineno) for lineno, raw in lines)
+    return Presentation.of(_equation_line(raw, lineno) for lineno, raw in lines)
 
 
 def format_equation(eq: Equation) -> str:
@@ -425,3 +427,10 @@ def format_equation(eq: Equation) -> str:
 
 def format_presentation(p: Presentation) -> str:
     return "\n".join(format_equation(eq) for eq in p.equations)
+
+
+def format_tables(tables: dict[str, dict[tuple[int, ...], int]]) -> str:
+    return "\n".join(
+        name + ": " + " ".join(f"({','.join(map(str, key))})->{val}" for key, val in table.items())
+        for name, table in tables.items()
+    )

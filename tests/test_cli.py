@@ -18,6 +18,7 @@ from henkin import (
     compile_instance,
     evaluate,
     format_formula,
+    format_tables,
     infinity_sentence,
     parse_formula,
     witness_tables,
@@ -81,8 +82,8 @@ class TestEval:
         assert evaluate(f, 2, budget=budget)
         argv = ["eval", "--show-witness", "--expr", format_formula(f), "--size", "2", "--budget"]
         assert main(argv + [str(budget.spent)]) == 0
-        tables = [t.format() for t in witness_tables(f, 2)]
-        assert capsys.readouterr().out.splitlines() == ["true"] + tables
+        tables = format_tables(witness_tables(f, 2))
+        assert capsys.readouterr().out == f"true\n{tables}\n"
         assert main(argv + [str(budget.spent - 1)]) == 4
 
     def test_budget_exhausted(self, capsys):

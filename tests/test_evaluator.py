@@ -12,7 +12,6 @@ from henkin import (
     Not,
     Or,
     Presentation,
-    SkolemTable,
     Variable,
     Witness,
     ceitin_e10,
@@ -185,29 +184,22 @@ class TestFindMinModel:
 
 class TestWitness:
     def test_spine_only(self):
-        tabs = witness_tables(P("exists t . t = t"), 3)
-        assert tabs == [SkolemTable("t", 0, (((), 0),))]
-        assert tabs[0].format() == "t: ()->0"
+        assert witness_tables(P("exists t . t = t"), 3) == {"t": {(): 0}}
 
     def test_spine_picks_first_workable_value(self):
-        tabs = witness_tables(P("exists t u . t != u"), 3)
-        assert [t.entries for t in tabs] == [(((), 0),), (((), 1),)]
+        assert witness_tables(P("exists t u . t != u"), 3) == {"t": {(): 0}, "u": {(): 1}}
 
     def test_branch_tables(self):
-        tabs = witness_tables(P("H{ forall x ; y(x) } . y = x"), 2)
-        assert tabs == [SkolemTable("y", 1, (((0,), 0), ((1,), 1)))]
-        assert tabs[0].format() == "y: (0)->0 (1)->1"
+        assert witness_tables(P("H{ forall x ; y(x) } . y = x"), 2) == {"y": {(0,): 0, (1,): 1}}
 
     def test_spine_then_branch(self):
         f = P("exists t . H{ forall x z ; y(x), w(z) } . y = w & t = t")
         tabs = witness_tables(f, 2)
-        assert tabs is not None
-        assert [t.owner for t in tabs] == ["t", "y", "w"]
-        assert tabs[1].entries == tabs[2].entries
+        assert list(tabs) == ["t", "y", "w"]
+        assert tabs["y"] == tabs["w"]
 
     def test_spine_over_plain_body(self):
-        tabs = witness_tables(P("exists t . forall x . x = x"), 2)
-        assert tabs == [SkolemTable("t", 0, (((), 0),))]
+        assert witness_tables(P("exists t . forall x . x = x"), 2) == {"t": {(): 0}}
 
     def test_false_sentence_has_no_witness(self):
         assert witness_tables(P("exists x . x != x"), 3) is None
@@ -217,16 +209,20 @@ class TestWitness:
         # Every inner branch search finishes before the outer one succeeds,
         # so the tables read off the last success are the outer prefix's.
         f = P("H{ forall x ; y(x) } . H{ forall z ; w(z) } . w = y")
-        assert [t.format() for t in witness_tables(f, 3)] == ["y: (0)->0 (1)->0 (2)->0"]
+        assert witness_tables(f, 3) == {"y": {(0,): 0, (1,): 0, (2,): 0}}
         f = P("exists t . H{ forall x ; y(x) } . (y != t & H{ forall z ; w(z) } . w = y)")
-        assert [t.format() for t in witness_tables(f, 3)] == ["t: ()->0", "y: (0)->1 (1)->1 (2)->1"]
+        assert witness_tables(f, 3) == {"t": {(): 0}, "y": {(0,): 1, (1,): 1, (2,): 1}}
         # w's cells have two-value keys: tables read off an inner search
         # would leave every y cell unread and report it as 0.
         f = P("H{ forall x ; y(x) } . (y != x & H{ forall z u ; w(z u) } . w = y)")
-        assert [t.format() for t in witness_tables(f, 3)] == ["y: (0)->1 (1)->0 (2)->0"]
+        assert witness_tables(f, 3) == {"y": {(0,): 1, (1,): 0, (2,): 0}}
+
+    def test_a_rebound_name_keeps_its_inner_table(self):
+        f = P("exists y t . H{ forall x ; y(x) } . y = x")
+        assert witness_tables(f, 2) == {"y": {(0,): 0, (1,): 1}, "t": {(): 0}}
 
     def test_no_spine_true_sentence(self):
-        assert witness_tables(P("forall x . x = x"), 3) == []
+        assert witness_tables(P("forall x . x = x"), 3) == {}
 
     def test_deterministic(self):
         f = P("H{ forall x z ; y(x), w(z) } . (y = w <-> x = z)")
@@ -251,10 +247,6 @@ class TestWitness:
                 assert (tables is None) == (not verdict), (name, m)
                 extra = sum(m**arity for arity in unread) if verdict else 0
                 assert witnessed.spent == decided.spent + extra, (name, m)
-
-    def test_table_format_arities(self):
-        t = SkolemTable("y", 2, (((0, 0), 1), ((0, 1), 2)))
-        assert t.format() == "y: (0,0)->1 (0,1)->2"
 
 
 class TestEngineAgreementSmall:
@@ -299,7 +291,7 @@ class TestSymmetryBreaking:
     def test_spine_values_are_canonical(self, equations, query, smallest):
         sentence = reducer.compile(Presentation.of(equations), Equation(*query))
         tables = witness_tables(sentence, smallest)
-        spine = [t.entries[0][1] for t in tables if t.arity == 0]
+        spine = [tables[v.name][()] for v in sentence.variables]
         assert spine
         for i, value in enumerate(spine):
             assert value <= max(spine[:i], default=-1) + 1, spine
@@ -322,13 +314,12 @@ class TestSymmetryBreaking:
 def _tables_hold(f, m, tables) -> bool:
     """Check witness tables with the reference engine's loop alone: plug the
     spine values and the branch tables into each conjunct of the matrix."""
-    given = {t.owner: dict(t.entries) for t in tables}
     env = {}
     while isinstance(f, Exists):
-        env.update((v.name, given[v.name][()]) for v in f.variables)
+        env.update((v.name, tables[v.name][()]) for v in f.variables)
         f = f.body
     parts = [(str(i), g) for i, g in enumerate(evaluator._conjuncts(f.body))]
-    return evaluator.table_failures(f.prefix, parts, given, m, env) == []
+    return evaluator.table_failures(f.prefix, parts, tables, m, env) == []
 
 
 def _h12_case():
@@ -358,7 +349,7 @@ class TestTableFailures:
     )
     def test_a_wrong_cell_names_its_readers(self, case, cell, readers):
         sentence, prefix, clauses = case()
-        tables = {t.owner: dict(t.entries) for t in witness_tables(sentence, 3)}
+        tables = witness_tables(sentence, 3)
         assert evaluator.table_failures(prefix, clauses, tables, 3) == []
         tables[cell][(0,)] = (tables[cell][(0,)] + 1) % 3
         assert evaluator.table_failures(prefix, clauses, tables, 3) == readers
@@ -450,9 +441,7 @@ class TestGuards:
         assert evaluate(f, m, budget=decided) is True
         tables = witness_tables(f, m, budget=witnessed)
         assert witnessed.spent == decided.spent + m * m - m
-        assert tables[0].entries == tuple(
-            ((a, b), a if a == b else 0) for a in range(m) for b in range(m)
-        )
+        assert tables == {"y": {(a, b): a if a == b else 0 for a in range(m) for b in range(m)}}
         assert _tables_hold(f, m, tables)
 
 
@@ -551,9 +540,8 @@ class TestGroundedSearch:
     def test_witness_tables_are_total(self):
         # w is never mentioned, so no instance reads its cells.
         tabs = witness_tables(P("H{ forall x z ; y(x), w(x z) } . y = x"), 2)
-        assert [t.owner for t in tabs] == ["y", "w"]
-        assert tabs[0].entries == (((0,), 0), ((1,), 1))
-        assert tabs[1].entries == tuple(((a, b), 0) for a in (0, 1) for b in (0, 1))
+        assert tabs == {"y": {(0,): 0, (1,): 1}, "w": {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}}
+        assert list(tabs["w"]) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_loose_universals_are_checked(self):
         # x keys no cell of y, so every x is looped inside the check.
@@ -666,13 +654,12 @@ class TestMergedCells:
                 tables = witness_tables(sentence, m)
                 if tables is None:
                     continue
-                given = {t.owner: t.entries for t in tables}
                 letters = {}
                 for row in rows:
-                    entries = letters.setdefault(row.letter, given[row.existential.name])
-                    assert entries == given[row.existential.name], (query, m, row)
-                point = given[f"t{len(query.lhs)}"][0][1]
-                model = {c: tuple(v for _, v in entries) for c, entries in letters.items()}
+                    cells = letters.setdefault(row.letter, tables[row.existential.name])
+                    assert cells == tables[row.existential.name], (query, m, row)
+                point = tables[f"t{len(query.lhs)}"][()]
+                model = {c: tuple(cells.values()) for c, cells in letters.items()}
                 assert check_witness(presentation, query, Witness(m, model, point)), (query, m)
                 checked += 1
         assert checked == 16

@@ -25,6 +25,7 @@ from henkin import (
     evaluate_naive,
     format_formula,
     format_presentation,
+    format_tables,
     mk_prefix,
     not_equal,
     parse_equation,
@@ -322,6 +323,13 @@ class TestPresentations:
             parse_equation(text)
         assert fragment in str(info.value)
         assert str(info.value).startswith(position + ":")
+
+
+class TestTables:
+    def test_table_format_arities(self):
+        tables = {"t": {(): 0}, "y": {(0, 0): 1, (0, 1): 2}}
+        assert format_tables(tables) == "t: ()->0\ny: (0,0)->1 (0,1)->2"
+        assert format_tables({}) == ""
 
 
 # Each shape opens one nesting level per repeat of its opener.
