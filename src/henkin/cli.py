@@ -30,7 +30,6 @@ from .fixtures import (
     infinity_sentence,
 )
 from .oracle import find_witness
-from .syntax import And, Branch, Exists
 from .text import (
     format_formula,
     format_presentation,
@@ -104,12 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     instance(p_cross)
     p_cross.add_argument("--max-size", type=int, required=True, help="largest size to compare")
     budget(p_cross, "step limit per size and per route")
-    p_cross.add_argument(
-        "--corrupt",
-        action="store_true",
-        help="drop the final separation conjunct before evaluating (a self-test "
-        "that must report a mismatch)",
-    )
 
     p_fixture = sub.add_parser("fixture", help="print a built-in formula or the presentation")
     p_fixture.add_argument("name", choices=list(_FIXTURES))
@@ -136,16 +129,6 @@ def _load_instance(args: argparse.Namespace):
     presentation = parse_presentation(Path(args.presentation).read_text(encoding="ascii"))
     query = parse_equation(args.query)
     return presentation, query
-
-
-def _drop_separation(sentence: Exists) -> Exists:
-    """Remove the last conjunct, ``separate``, from a compiled sentence.
-
-    Used by ``crosscheck --corrupt``: without the separation demand the
-    sentence is true on every domain, so the comparison must fail.
-    """
-    branch = sentence.body
-    return Exists(sentence.variables, Branch(branch.prefix, And(branch.body.items[:-1])))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -207,8 +190,6 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
     presentation, query = _load_instance(args)
     _positive(args.max_size, "--max-size")
     sentence = reducer.compile(presentation, query)
-    if args.corrupt:
-        sentence = _drop_separation(sentence)
     mismatch = False
     for m in range(1, args.max_size + 1):
         route = "evaluate"

@@ -234,8 +234,7 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
 def _assignments(k: int, m: int, top: int):
     """Values for a block of ``k`` variables, in lexicographic order, each at
     most one above the largest value before it; ``top`` is the largest value
-    bound outside the block, -1 if none, and at ``m - 1`` lets every tuple
-    through, one at a time."""
+    bound outside the block, -1 if none."""
     vals = [0] * k
     # highs[i] is the largest of top and vals[:i].
     highs = [top] + [max(top, 0)] * (k - 1)
@@ -386,7 +385,7 @@ def _ground(conjuncts, m: int, charge):
         return c
 
     for picks, spread, check in conjuncts:
-        for classed in _assignments(max(spread, default=-1) + 1, m, m - 1):
+        for classed in _tuples(max(spread, default=-1) + 1, m):
             charge()
             values = tuple(map(classed.__getitem__, spread))
             read = []
@@ -453,7 +452,7 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
             env[s] = value[c]
         if not loose:
             return test(env)
-        for vals in _assignments(len(loose), m, m - 1):
+        for vals in _tuples(len(loose), m):
             charge()
             for s, v in zip(loose, vals):
                 env[s] = v
@@ -714,7 +713,7 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
             found[e][key] = values[k]
         for v, deps, tab in zip(prefix.existentials, prefix.deps, found):
             table = tables[v.name] = {}
-            for key in _assignments(len(deps), size, size - 1):
+            for key in _tuples(len(deps), size):
                 if key not in tab:
                     ctx.budget.charge()
                 table[key] = tab.get(key, 0)

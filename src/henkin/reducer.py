@@ -24,7 +24,6 @@ The matrix is one flat conjunction of labeled clauses, in this order:
 universals) carrying letter c, ``equation:i`` for equation i (from 1),
 ``trace:tj`` and ``trace:sj`` for the step from t_j to t_{j-1} (s_j to
 s_{j-1}), ``start``, and last ``separate``, the disequation t0 != s0.
-``crosscheck --corrupt`` drops that last conjunct.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from henkin import (
     equal,
     infinity_sentence,
     mk_prefix,
+    not_equal,
     parse_formula,
 )
 from henkin import reducer
@@ -150,6 +151,16 @@ CROSSCHECK_INSTANCES = [
     ([("aa", "a")], ("ab", "ba"), 2),
     ([("aba", "a")], ("ab", "ba"), 2),
 ]
+
+
+def without_separation(sentence: Exists) -> Exists:
+    """A compiled sentence without its last conjunct, ``separate``
+    (t0 != s0).  The rest demands no separation, so the sentence is true
+    at size 1, where no model separates: a crosscheck of it must fail."""
+    branch = sentence.body
+    *rest, separate = branch.body.items
+    assert separate == not_equal("t0", "s0")
+    return Exists(sentence.variables, Branch(branch.prefix, And(tuple(rest))))
 
 
 def collapse_cases(count: int = 20, seed: int = 77) -> list[tuple[str, int, Formula]]:

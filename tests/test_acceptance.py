@@ -45,7 +45,13 @@ from henkin.fixtures import (
 )
 from henkin.reducer import clauses, plan_rows
 
-from _corpus import CROSSCHECK_INSTANCES, agreement_corpus, all_suite_formulas, collapse_cases
+from _corpus import (
+    CROSSCHECK_INSTANCES,
+    agreement_corpus,
+    all_suite_formulas,
+    collapse_cases,
+    without_separation,
+)
 
 
 @contextmanager
@@ -214,20 +220,11 @@ def test_reduction_crosscheck(tmp_path, capsys):
 
         # A deliberately damaged sentence must be caught, or agreement above
         # would be vacuous.
-        pres_file = tmp_path / "pres0.txt"
-        code = cli_main(
-            [
-                "crosscheck",
-                "--presentation",
-                str(pres_file),
-                "--query",
-                "ab = ba",
-                "--max-size",
-                "1",
-                "--corrupt",
-            ]
-        )
-        assert code == 3
+        eqs, query, _ = CROSSCHECK_INSTANCES[0]
+        presentation = Presentation.of([Equation(l, r) for l, r in eqs])
+        damaged = without_separation(compile_instance(presentation, Equation(*query)))
+        assert evaluate(damaged, 1) is True
+        assert find_witness(presentation, Equation(*query), 1) is None
         capsys.readouterr()
 
 

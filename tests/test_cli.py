@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from henkin import (
 )
 from henkin.cli import _positive, _read_formula_text, main
 
-from _corpus import CROSSCHECK_INSTANCES
+from _corpus import CROSSCHECK_INSTANCES, without_separation
 
 CANON_TEXT = "aa = a\nbb = b\n"
 
@@ -339,32 +340,28 @@ class TestCrosscheck:
             "error: search budget of 300 nodes exceeded at domain size 3 in find_witness\n"
         )
 
-    def test_corrupt_reports_mismatch(self, capsys, canon_file):
-        code = main(
-            [
-                "crosscheck",
-                "--presentation",
-                canon_file,
-                "--query",
-                "ab = ba",
-                "--max-size",
-                "1",
-                "--corrupt",
-            ]
-        )
-        assert code == 3
+    def test_mismatch_exits_3(self, capsys, canon_file, monkeypatch):
+        monkeypatch.setattr(henkin.cli, "find_witness", lambda *a, **k: None)
+        argv = ["--presentation", canon_file, "--query", "ab = ba", "--max-size", "2"]
+        assert main(["crosscheck"] + argv) == 3
         assert capsys.readouterr().out.splitlines() == [
-            "m=1: eval=true oracle=none MISMATCH"
+            "m=1: eval=false oracle=none agree",
+            "m=2: eval=true oracle=none MISMATCH",
         ]
 
     @pytest.mark.parametrize("equations, query, smallest", CROSSCHECK_INSTANCES)
     def test_corrupt_reports_mismatch_on_every_instance(
-        self, capsys, tmp_path, equations, query, smallest
+        self, capsys, tmp_path, monkeypatch, equations, query, smallest
     ):
+        # A stand-in reducer hands crosscheck the sentence without `separate`.
+        stand_in = types.SimpleNamespace(
+            compile=lambda p, q: without_separation(compile_instance(p, q))
+        )
+        monkeypatch.setattr(henkin.cli, "reducer", stand_in)
         path = tmp_path / "presentation.txt"
         path.write_text("".join(f"{a} = {b}\n" for a, b in equations), encoding="ascii")
         argv = ["--presentation", str(path), "--query", " = ".join(query), "--max-size", "1"]
-        assert main(["crosscheck", "--corrupt"] + argv) == 3
+        assert main(["crosscheck"] + argv) == 3
         assert capsys.readouterr().out == "m=1: eval=true oracle=none MISMATCH\n"
 
 
