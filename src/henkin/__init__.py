@@ -48,14 +48,12 @@ from .syntax import (
     HenkinPrefix,
     Iff,
     Implies,
-    InvalidPrefixError,
     Not,
     Or,
     Variable,
     build_en,
     build_hn,
     conjoin,
-    disjoin,
     equal,
     free_variables,
     mk_prefix,
@@ -108,14 +106,12 @@ __all__ = [
     "HenkinPrefix",
     "Iff",
     "Implies",
-    "InvalidPrefixError",
     "Not",
     "Or",
     "Variable",
     "build_en",
     "build_hn",
     "conjoin",
-    "disjoin",
     "equal",
     "free_variables",
     "mk_prefix",

@@ -2,12 +2,13 @@
 
 The presentation below has seven equations over the letters a-e; the two
 big sentences encode its word problem with branched prefixes in two
-shapes.  The first uses twelve independent rows, two per function symbol
-(for the five letters and the composite cc); the second gets away with
-two universals by hanging ten existentials off the first and eight off
-the second.  Every conjunct of both is a labeled rule, stated by ``_rule``
-as two lists of name pairs: the equalities of the first imply those of the
-second.  The labels let tests point at the exact clause that fails.
+shapes.  The first uses twelve independent rows (``build_hn``), two per
+function symbol (for the five letters and the composite cc); the second
+(``build_en``) gets away with two universals by hanging ten existentials
+off the first and eight off the second.  Every conjunct of both is a
+labeled rule, stated by ``_rule`` as two lists of name pairs: the
+equalities of the first imply those of the second.  The labels let tests
+point at the exact clause that fails.
 
 ``infinity_sentence`` is the classic branched sentence that is true
 exactly on infinite domains (an injective, non-surjective pairing forced
@@ -29,6 +30,8 @@ from .syntax import (
     Implies,
     Not,
     Variable,
+    build_en,
+    build_hn,
     conjoin,
     equal,
     not_equal,
@@ -68,16 +71,7 @@ _H12_KEYS = ("a", "b", "c", "d", "e", "cc")
 
 
 def ceitin_h12_prefix() -> HenkinPrefix:
-    universals = []
-    existentials = []
-    deps = []
-    for key in _H12_KEYS:
-        for mark in ("", "'"):
-            x = Variable(f"x{mark}_{key}")
-            universals.append(x)
-            existentials.append(Variable(f"y{mark}_{key}"))
-            deps.append((x,))
-    return HenkinPrefix(tuple(universals), tuple(existentials), tuple(deps))
+    return build_hn((f"x{mark}_{key}", f"y{mark}_{key}") for key in _H12_KEYS for mark in ("", "'"))
 
 
 def _rule(
@@ -155,10 +149,7 @@ _E10_ROW2 = ("y_c", "y_ac", "y_d", "y_ad", "y_bc", "y_bd", "y'_e", "y'_cca")
 
 
 def ceitin_e10_prefix() -> HenkinPrefix:
-    x1, x2 = Variable("x1"), Variable("x2")
-    existentials = tuple(Variable(name) for name in _E10_ROW1 + _E10_ROW2)
-    deps = ((x1,),) * len(_E10_ROW1) + ((x2,),) * len(_E10_ROW2)
-    return HenkinPrefix((x1, x2), existentials, deps)
+    return build_en(_E10_ROW1, _E10_ROW2)
 
 
 def ceitin_e10_clauses() -> list[tuple[str, Formula]]:
@@ -207,10 +198,8 @@ def infinity_sentence() -> Exists:
     them to be one injective function, and the avoided value t makes that
     function miss a point.  No finite set carries such a function.
     """
-    x, z = Variable("x"), Variable("z")
-    y, w = Variable("y"), Variable("w")
-    prefix = HenkinPrefix((x, z), (y, w), ((x,), (z,)))
-    matrix = And((Iff(equal(y, w), equal(x, z)), not_equal("t", "y")))
+    prefix = build_hn([("x", "y"), ("z", "w")])
+    matrix = And((Iff(equal("y", "w"), equal("x", "z")), not_equal("t", "y")))
     return Exists((Variable("t"),), Branch(prefix, matrix))
 
 

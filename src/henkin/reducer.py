@@ -5,9 +5,10 @@ a sentence that is true on a domain of size m exactly when some size-m
 model of E separates v from w at a point.  The shape:
 
 * One prefix row per letter occurrence in E's equations, plus one
-  designated row per distinct letter of the query.  Each row is a
-  ``forall x exists y(x)`` pair, so its choice table is a unary function;
-  rows that carry the same letter are forced to agree as functions.
+  designated row per distinct letter of the query.  ``syntax.build_hn``
+  makes each row a ``forall x exists y(x)`` pair, so its choice table is
+  a unary function; rows that carry the same letter are forced to agree
+  as functions.
 
 * An outer existential spine t0..tl, s0..sk traces the action of v and w
   letter by letter: t_l = s_k is the common start point, t_0 and s_0 the
@@ -35,9 +36,9 @@ from .syntax import (
     Branch,
     Exists,
     Formula,
-    HenkinPrefix,
     Implies,
     Variable,
+    build_hn,
     conjoin,
     equal,
     not_equal,
@@ -146,12 +147,7 @@ def separation_clauses(
 def compile(presentation: Presentation, query: Equation) -> Exists:
     """The full sentence for one separation instance."""
     plan = plan_rows(presentation, query)
-    rows = plan.rows
-    prefix = HenkinPrefix(
-        tuple(r.universal for r in rows),
-        tuple(r.existential for r in rows),
-        tuple((r.universal,) for r in rows),
-    )
+    prefix = build_hn((r.universal, r.existential) for r in plan.rows)
     designated = {r.letter: (r.universal, r.existential) for r in plan.designated}
     spine, trace = separation_clauses(query, designated)
     matrix = And(tuple(f for _, f in clauses(plan) + trace))

@@ -29,7 +29,6 @@ __all__ = [
     "Variable",
     "VarLike",
     "as_variable",
-    "InvalidPrefixError",
     "HenkinPrefix",
     "mk_prefix",
     "prefix_diagnostics",
@@ -52,7 +51,6 @@ __all__ = [
     "equal",
     "not_equal",
     "conjoin",
-    "disjoin",
     "free_variables",
     "formula_depth",
     "validate",
@@ -100,15 +98,6 @@ def as_variable(v: VarLike) -> Variable:
 
 def _as_variables(vs: Iterable[VarLike]) -> tuple[Variable, ...]:
     return tuple(as_variable(v) for v in vs)
-
-
-class InvalidPrefixError(ValueError):
-    """Raised by ``mk_prefix``; ``diagnostics`` holds one message per
-    violated rule."""
-
-    def __init__(self, diagnostics: Iterable[str]):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(self.diagnostics))
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,9 +169,9 @@ def mk_prefix(
     """Build a branched prefix, checking every invariant.
 
     ``deps`` maps each existential to its ordered dependency list.  On any
-    violation an ``InvalidPrefixError`` is raised carrying the complete list
-    of messages, not just the first one.  A malformed name raises
-    ``Variable``'s ``ValueError`` at once.
+    violation a ``ValueError`` is raised whose message joins the complete
+    list of messages with "; ", not just the first one.  A malformed name
+    raises ``Variable``'s ``ValueError`` at once.
     """
     exi = _as_variables(existentials)
     problems: list[str] = []
@@ -198,27 +187,26 @@ def mk_prefix(
     prefix = HenkinPrefix(universals, exi, tuple(keyed.get(e, ()) for e in exi))
     problems += prefix_diagnostics(prefix)
     if problems:
-        raise InvalidPrefixError(problems)
+        raise ValueError("; ".join(problems))
     return prefix
 
 
-def build_hn(n: int) -> HenkinPrefix:
-    """The row-shaped prefix with n independent rows: forall xi exists yi(xi)."""
-    if n < 1:
-        raise ValueError("the row-shaped family starts at n = 1")
-    uni = tuple(Variable(f"x{i}") for i in range(1, n + 1))
-    exi = tuple(Variable(f"y{i}") for i in range(1, n + 1))
+def build_hn(rows: Iterable[tuple[VarLike, VarLike]]) -> HenkinPrefix:
+    """The row-shaped prefix: one row forall x exists y(x) per (x, y) pair."""
+    pairs = tuple(rows)
+    if not pairs:
+        raise ValueError("the row-shaped family needs at least one row")
+    uni, exi = zip(*pairs)
     return HenkinPrefix(uni, exi, tuple((x,) for x in uni))
 
 
-def build_en(n: int) -> HenkinPrefix:
-    """The two-row prefix: y1..yn observe only x1, z1..zn observe only x2."""
-    if n < 1:
-        raise ValueError("the two-row family starts at n = 1")
+def build_en(first: Iterable[VarLike], second: Iterable[VarLike]) -> HenkinPrefix:
+    """The two-universal prefix: ``first`` observe only x1, ``second`` only x2."""
+    ys, zs = tuple(first), tuple(second)
+    if not ys or not zs:
+        raise ValueError("the two-universal family needs existentials on both universals")
     x1, x2 = Variable("x1"), Variable("x2")
-    ys = tuple(Variable(f"y{i}") for i in range(1, n + 1))
-    zs = tuple(Variable(f"z{i}") for i in range(1, n + 1))
-    return HenkinPrefix((x1, x2), ys + zs, ((x1,),) * n + ((x2,),) * n)
+    return HenkinPrefix((x1, x2), ys + zs, ((x1,),) * len(ys) + ((x2,),) * len(zs))
 
 
 class Formula:
@@ -330,16 +318,6 @@ def conjoin(items: Iterable[Formula]) -> Formula:
     if len(seq) == 1:
         return seq[0]
     return And(seq)
-
-
-def disjoin(items: Iterable[Formula]) -> Formula:
-    """Or, collapsing the degenerate arities: () -> false, (f,) -> f."""
-    seq = tuple(items)
-    if not seq:
-        return FALSE
-    if len(seq) == 1:
-        return seq[0]
-    return Or(seq)
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:

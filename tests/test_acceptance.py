@@ -7,7 +7,6 @@ Each test prints a [PASS]/[FAIL] line naming the guarantee, so a plain
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
-import pytest
 from hypothesis import given, strategies as st
 
 from henkin import (
@@ -80,9 +79,9 @@ def test_fixture_prefix_sizes():
         assert len(ceitin_e10_clauses()) == 17
 
         for n in (1, 2, 5):
-            hn = build_hn(n)
+            hn = build_hn((f"x{i}", f"y{i}") for i in range(1, n + 1))
             assert len(hn.universals) == n and len(hn.existentials) == n
-            en = build_en(n)
+            en = build_en([f"y{i}" for i in range(1, n + 1)], [f"z{i}" for i in range(1, n + 1)])
             assert len(en.universals) == 2
 
         canon = Presentation.of([Equation("aa", "a"), Equation("bb", "b")])
