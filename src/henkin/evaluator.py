@@ -11,15 +11,26 @@ closures over a flat slot environment.  At a branched prefix it splits
 the matrix into its conjuncts (nested ``And``s flattened), each compiled
 to a record: where its cells' keys sit among its keyed universals (those
 the cells it reads depend on), its guard classes (below), and the slots
-and closure its instances share.  The prefix's first run grounds each
-record over its keyed universals, one instance per tuple of those, since
-a universal quantifier distributes over a conjunction; universals a
-conjunct mentions but that key none of its cells are looped inside the
-instance's check.  The search then assigns table cells in order of first
-appearance, checking each instance once its last cell has a value, and
-backjumps on conflict (CBJ, Prosser 1993): a cell that runs out of
-values returns to the latest cell that took part in one of its failures,
-and if none did, the prefix is false.
+and closure its instances share.  A run grounds each record on its
+first visit to the prefix, over the record's keyed universals, one
+instance per tuple of those, since a universal quantifier distributes
+over a conjunction; universals a conjunct mentions but that key none of
+its cells are looped inside the instance's check.  The search then
+assigns table cells in order of first appearance, checking each instance
+once its last cell has a value, and backjumps on conflict (CBJ, Prosser
+1993): a cell that runs out of values returns to the latest cell that
+took part in one of its failures, and if none did, the prefix is false.
+
+None of that compile depends on the domain size, so ``evaluate`` keeps
+the last one, keyed by the formula object (formulas are frozen) and the
+env's names, and a call on the same formula reuses it: ``find_min_model``
+and ``crosscheck``, which try one sentence at every size, validate it,
+check its free variables and build its closures and conjunct records
+once.  Every run still checks its size and env values, grounds each
+prefix afresh and searches, so a call's verdict and node count are the
+same as on a fresh copy of the formula.  A run takes the compile out of
+the module's slot and puts it back, with no run state on it, when it
+ends; a nested or concurrent call on the same formula compiles its own.
 
 Most conjuncts the paper's sentences are made of are implications
 guarded by equalities between universals, such as the functionality
@@ -87,7 +98,7 @@ tables, one labelled clause at a time, and names the clauses they break.
 ``{name: {key: value}}`` tables ``table_failures`` checks off that one
 search: the outer ``exists`` spine's values stay in their slots when the
 search succeeds, and each successful branch search leaves its cells,
-their classes and the classes' values on the compile context, the last
+their classes and the classes' values on the run's context, the last
 being the prefix ending the spine, whose node names the tables.  Each
 cell is reported at its class's value and cells no instance reads as 0,
 one node each, so its verdict is ``evaluate``'s and so is its spend,
@@ -129,12 +140,21 @@ __all__ = [
 
 
 class _Ctx:
-    __slots__ = ("m", "budget", "nslots", "found")
+    """A formula's compile and the state of the run using it.
 
-    def __init__(self, m: int, budget: Budget):
-        self.m = m
-        self.budget = budget
+    Compiling allocates the slots and numbers the branched prefixes.  The
+    closures read the run's domain size, budget and grounds off this
+    object, which ``_search`` sets before a run and clears after it."""
+
+    __slots__ = ("nslots", "nbranches", "m", "budget", "grounds", "found")
+
+    def __init__(self):
         self.nslots = 0
+        self.nbranches = 0
+        self.m = 0
+        self.budget = None
+        # Per branched prefix, its ground, built on the run's first visit.
+        self.grounds = None
         # (ground, class values) of the last branch search that succeeded.
         self.found = None
 
@@ -215,12 +235,15 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
         return run_block
     if isinstance(node, Branch):
         outer, conjuncts = _compile_branch(node, scope, ctx)
-        ground = None  # built on the first run; the domain size is fixed per compile
+        k = ctx.nbranches
+        ctx.nbranches += 1
 
         def run_branch(env):
-            nonlocal ground
+            # Grounded once per run: the domain size is fixed for a run, and
+            # an outer block may visit the prefix many times.
+            ground = ctx.grounds[k]
             if ground is None:
-                ground = _ground(conjuncts, ctx.m, ctx.budget.charge)
+                ground = ctx.grounds[k] = _ground(conjuncts, ctx.m, ctx.budget.charge)
             values = _branch_search(ground, outer, env, ctx)
             if values is None:
                 return False
@@ -591,39 +614,65 @@ def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> boo
             return False
 
 
-def _prepare(f: Formula, size: int, env) -> dict[str, int]:
+def _prepare(f: Formula, size: int, env, free=None) -> tuple[dict[str, int], set[str]]:
+    """Check ``size``, ``f``, ``env``'s values and that ``env`` binds every
+    free variable of ``f``, in that order, and return ``env``'s values by
+    name and ``f``'s free names.  Given those names, ``f`` is known to be
+    valid and is not walked again."""
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ValueError("domain size must be a positive integer")
-    problems = validate(f)
-    if problems:
-        raise ValueError("invalid formula: " + "; ".join(problems))
+    if free is None:
+        problems = validate(f)
+        if problems:
+            raise ValueError("invalid formula: " + "; ".join(problems))
+        free = {v.name for v in free_variables(f)}
     bound: dict[str, int] = {}
     for key, val in (env or {}).items():
         name = key.name if isinstance(key, Variable) else key
         if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < size:
             raise ValueError(f"value for '{name}' must be an integer in [0, {size})")
         bound[name] = val
-    missing = sorted(v.name for v in free_variables(f) if v.name not in bound)
+    missing = sorted(name for name in free if name not in bound)
     if missing:
         raise ValueError("unbound free variables: " + ", ".join(missing))
-    return bound
+    return bound, free
 
 
-def _search(f: Formula, size: int, env, budget: Budget | None):
-    """Compile ``f`` and run the search once: (verdict, slot env, context)."""
-    bound = _prepare(f, size, env)
-    ctx = _Ctx(size, budget if budget is not None else Budget())
-    scope: dict[str, int] = {}
-    init = []
-    for name in sorted(bound):
-        slot = ctx.alloc()
-        scope[name] = slot
-        init.append((slot, bound[name]))
-    fn = _compile(f, scope, ctx)
-    slots_env = [0] * ctx.nslots
-    for slot, val in init:
-        slots_env[slot] = val
-    return fn(slots_env), slots_env, ctx
+# The last compile, ``(formula, env names, free names, closure, context)``.
+# A run pops it (one atomic step) and puts it back when it ends, so a
+# nested or concurrent call compiles its own and no two runs share a
+# context.
+_last: list[tuple] = []
+
+
+def _search(f: Formula, size: int, env, budget: Budget):
+    """Run ``f``'s search once: (verdict, slot env, the context's ``found``).
+
+    The compile is reused when ``_last`` holds one of this very formula for
+    the same env names (formulas are frozen); the size and env values are
+    checked and the prefixes grounded afresh on every run."""
+    try:
+        last = _last.pop()
+    except IndexError:
+        last = None
+    try:
+        known = last is not None and last[0] is f
+        bound, free = _prepare(f, size, env, last[2] if known else None)
+        names = tuple(sorted(bound))
+        if not (known and last[1] == names):
+            ctx = _Ctx()
+            scope = {name: ctx.alloc() for name in names}
+            last = (f, names, free, _compile(f, scope, ctx), ctx)
+        *_, fn, ctx = last
+        # The env's names own the first slots, in order.
+        slots_env = [*map(bound.__getitem__, names)] + [0] * (ctx.nslots - len(names))
+        ctx.m, ctx.budget, ctx.grounds = size, budget, [None] * ctx.nbranches
+        return fn(slots_env), slots_env, ctx.found
+    finally:
+        if last is not None:
+            ctx = last[-1]
+            ctx.budget = ctx.grounds = ctx.found = None
+            _last[:] = [last]
 
 
 def evaluate(f: Formula, size: int, env=None, budget: Budget | None = None) -> bool:
@@ -631,12 +680,12 @@ def evaluate(f: Formula, size: int, env=None, budget: Budget | None = None) -> b
 
     ``env`` binds free variables (by Variable or name) to domain values.
     """
-    return _search(f, size, env, budget)[0]
+    return _search(f, size, env, budget if budget is not None else Budget())[0]
 
 
 def evaluate_naive(f: Formula, size: int, env=None, budget: Budget | None = None) -> bool:
     """Decide truth with the reference engine; use only on small instances."""
-    bound = _prepare(f, size, env)
+    bound, _ = _prepare(f, size, env)
     budget = budget if budget is not None else Budget()
     return _neval(f, bound, size, budget)
 
@@ -650,7 +699,7 @@ def table_failures(prefix: HenkinPrefix, clauses, tables, size: int, env=None) -
     deps = {e.name: [d.name for d in ds] for e, ds in zip(prefix.existentials, prefix.deps)}
     failures = []
     for label, clause in clauses:
-        bound = _prepare(Branch(prefix, clause), size, env)
+        bound, _ = _prepare(Branch(prefix, clause), size, env)
         names = {v.name for v in free_variables(clause)}
         exis = [(e, ds) for e, ds in deps.items() if e in names]
         needed = names.union(*(ds for _, ds in exis))
@@ -689,7 +738,8 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
     lexicographic order, both as found by the one search that decides
     ``f``.  Quantifiers past the spine are not tabulated; a name bound
     twice keeps its first place and its inner binder's table."""
-    verdict, env, ctx = _search(f, size, None, budget)
+    budget = budget if budget is not None else Budget()
+    verdict, env, solved = _search(f, size, None, budget)
     if not verdict:
         return None
     tables: dict[str, dict[tuple[int, ...], int]] = {}
@@ -706,7 +756,7 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
         # Nothing runs after the spine's final branch search succeeds, and a
         # nested branch finishes before the branch around it.  Unread cells
         # get 0 at one node each: every table is total, its size budgeted.
-        (cells, group, *_), values = ctx.found
+        (cells, group, *_), values = solved
         prefix = node.prefix
         found = [{} for _ in prefix.existentials]
         for (e, key), k in zip(cells, group):
@@ -715,6 +765,6 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
             table = tables[v.name] = {}
             for key in _tuples(len(deps), size):
                 if key not in tab:
-                    ctx.budget.charge()
+                    budget.charge()
                 table[key] = tab.get(key, 0)
     return tables

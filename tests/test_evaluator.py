@@ -1,3 +1,7 @@
+import copy
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -676,3 +680,163 @@ class TestMergedCells:
         assert spent[(("ab", "ba"),), ("ab", "ba")] < 12_000
         assert spent[(("ba", "ab"),), ("ab", "ba")] < 12_000
         assert sum(spent.values()) < 20_000
+
+
+def _crosscheck_sentences():
+    return [
+        (f"crosscheck-{i}", reducer.compile(Presentation.of(equations), Equation(*query)))
+        for i, (equations, query, _) in enumerate(CROSSCHECK_INSTANCES)
+    ]
+
+
+_REUSE_CASES = _crosscheck_sentences() + agreement_corpus()
+_SIZES = (1, 2, 3, 4)
+
+
+def _run(f, m, env=None) -> tuple[bool, int]:
+    budget = Budget()
+    return evaluate(f, m, env=env, budget=budget), budget.spent
+
+
+class TestCompileOnce:
+    """``evaluate`` keeps the last formula's compile and reuses it for the
+    same object; every run checks its size and env and grounds afresh, so
+    no verdict or node count depends on what ran before."""
+
+    @pytest.mark.parametrize("name, f", _REUSE_CASES, ids=[name for name, _ in _REUSE_CASES])
+    def test_reuse_changes_no_result(self, name, f):
+        fresh = [_run(copy.deepcopy(f), m) for m in _SIZES]
+        assert [_run(f, m) for m in _SIZES] == fresh
+        other = P("exists a b . a != b")
+        interleaved = []
+        for m in _SIZES:
+            assert _run(other, m) == _run(copy.deepcopy(other), m)
+            interleaved.append(_run(f, m))
+        assert interleaved == fresh
+        # Back to back at one size: the second run hits the first's compile.
+        twice = [_run(f, m) for m in _SIZES for _ in range(2)]
+        assert twice == [r for r in fresh for _ in range(2)]
+
+    def test_one_compile_for_every_size(self, monkeypatch):
+        # The closure tree is built once; each run grounds its prefix again.
+        compiles, grounds = [], []
+        compile_, ground = evaluator._compile, evaluator._ground
+
+        def spy_compile(*args):
+            compiles.append(args[0])
+            return compile_(*args)
+
+        def spy_ground(*args):
+            grounds.append(args[1])
+            return ground(*args)
+
+        monkeypatch.setattr(evaluator, "_compile", spy_compile)
+        monkeypatch.setattr(evaluator, "_ground", spy_ground)
+        f = P("H{ forall x ; y(x) } . y = x")
+        assert [evaluate(f, m) for m in _SIZES] == [True] * 4
+        assert compiles == [f, f.body]
+        assert grounds == list(_SIZES)
+
+    @pytest.mark.parametrize("name, f", _crosscheck_sentences())
+    def test_witness_after_evaluate_spends_as_evaluate(self, name, f):
+        for m in (1, 2, 3):
+            decided, witnessed = Budget(), Budget()
+            verdict = evaluate(f, m, budget=decided)
+            tables = witness_tables(f, m, budget=witnessed)
+            fresh = Budget()
+            assert tables == witness_tables(copy.deepcopy(f), m, budget=fresh), (name, m)
+            assert witnessed.spent == fresh.spent >= decided.spent, (name, m)
+            assert (tables is None) == (not verdict), (name, m)
+
+    @pytest.mark.parametrize(
+        "text", ["exists y . y = x", "H{ forall z ; w() } . w = x", "H{ forall z ; w(z) } . w != x"]
+    )
+    def test_env_values_are_read_per_run(self, text):
+        # The least-number rule starts above the env's values, so a stale
+        # value would leave x = 2 out of reach at m = 3.  A name the formula
+        # does not mention still takes a slot and raises that start.
+        f = P(text)
+        envs = [{"x": 0}, {"x": 2}, {"x": 0}, {"x": 0, "z": 2}, {"a": 2, "x": 1}, {"x": 1}]
+        runs = [_run(f, 3, env) for env in envs]
+        assert runs == [_run(P(text), 3, env) for env in envs]
+        assert all(verdict for verdict, _ in runs)
+
+    def test_a_hit_checks_size_and_env_as_a_fresh_call(self):
+        f = P("exists y . y = x")
+        bad = [
+            (3, {"x": 3}), (3, {"x": True}), (0, {"x": 0}), (2.0, {"x": 0}), (3, {}), (3, {"y": 0}),
+        ]
+        for size, env in bad:
+            with pytest.raises(ValueError) as fresh:
+                evaluate(P("exists y . y = x"), size, env=env)
+            assert evaluate(f, 3, env={"x": 1}) is True
+            with pytest.raises(ValueError) as reused:
+                evaluate(f, size, env=env)
+            assert str(reused.value) == str(fresh.value), (size, env)
+        assert _run(f, 3, {"x": 2}) == _run(P("exists y . y = x"), 3, {"x": 2})
+
+    @pytest.mark.parametrize(
+        "name, f", _crosscheck_sentences()[:3] + [("ceitin-h12", ceitin_h12())]
+    )
+    def test_a_run_cut_by_its_budget_leaves_nothing_behind(self, name, f):
+        for m in (2, 3):
+            verdict, spent = _run(copy.deepcopy(f), m)
+            for limit in (1, spent // 2, spent - 1):
+                with pytest.raises(BudgetExceeded):
+                    evaluate(f, m, budget=Budget(limit))
+                assert _run(f, m) == (verdict, spent), (name, m, limit)
+
+    def test_a_nested_call_compiles_its_own(self):
+        f = P("exists t . H{ forall x z ; y(x), w(z) } . (y = w <-> x = z) & t = y")
+        inner = []
+
+        class Reentrant(Budget):
+            def charge(self):
+                super().charge()
+                if self.spent in (3, 20):
+                    inner.append(_run(f, 2))
+
+        expected = _run(copy.deepcopy(f), 3)
+        assert _run(f, 3) == expected  # the outer call below reuses this compile
+        budget = Reentrant()
+        assert evaluate(f, 3, budget=budget) is expected[0]
+        assert budget.spent == expected[1]
+        assert inner == [_run(copy.deepcopy(f), 2)] * 2
+        assert _run(f, 3) == expected
+
+    def test_threads_agree_with_one_thread(self):
+        # The threads make the same calls on the same objects, and meet
+        # before each call and at its fifth node, so runs of one object,
+        # started together, are live at once.
+        cases = _crosscheck_sentences()[:4] + [("infinity", infinity_sentence())]
+        expected = [[_run(copy.deepcopy(f), m) for m in _SIZES] for _, f in cases]
+        results = [[] for _ in range(4)]
+        meet = threading.Barrier(len(results), timeout=10)
+
+        class Meeting(Budget):
+            def charge(self):
+                super().charge()
+                if self.spent == 5:
+                    meet.wait()
+
+        def work(out):
+            for _, f in cases:
+                runs = []
+                for m in _SIZES:
+                    budget = Meeting()
+                    meet.wait()
+                    runs.append((evaluate(f, m, budget=budget), budget.spent))
+                out.append(runs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * len(results)
