@@ -10,16 +10,17 @@ tables; they differ in how.
 closures over a flat slot environment.  At a branched prefix it splits
 the matrix into its conjuncts (nested ``And``s flattened), each compiled
 to a record: where its cells' keys sit among its keyed universals (those
-the cells it reads depend on), its guard classes (below), and the slots
-and closure its instances share.  A run grounds each record on its
-first visit to the prefix, over the record's keyed universals, one
-instance per tuple of those, since a universal quantifier distributes
-over a conjunction; universals a conjunct mentions but that key none of
-its cells are looped inside the instance's check.  The search then
-assigns table cells in order of first appearance, checking each instance
-once its last cell has a value, and backjumps on conflict (CBJ, Prosser
-1993): a cell that runs out of values returns to the latest cell that
-took part in one of its failures, and if none did, the prefix is false.
+the cells it reads depend on), its guard classes and chain links
+(below), and the slots and closure its instances share.  A run grounds
+each record on its first visit to the prefix, over the record's keyed
+universals, one instance per tuple of those, since a universal
+quantifier distributes over a conjunction; universals a conjunct
+mentions but that key none of its cells are looped inside the
+instance's check.  The search then assigns table cells in the order
+instances first read them, checking each instance once its last cell
+has a value, and backjumps on conflict (CBJ, Prosser 1993): a cell that
+runs out of values returns to the latest cell that took part in one of
+its failures, and if none did, the prefix is false.
 
 None of that compile depends on the domain size, so ``evaluate`` keeps
 the last one, keyed by the formula object (formulas are frozen) and the
@@ -42,15 +43,15 @@ the intersection of its operands' guards, and nothing else gives any
 (nothing under a quantifier or branch, where a name may be rebound).
 Guards between two keyed universals join keyed positions into classes,
 and a conjunct is grounded only on the key tuples that are constant on
-every class, its *admitted* tuples; the others are never generated.  So
-``ceitin-h12`` at m=3 admits 378 tuples, where grounding every key tuple
-gave 1,134 and walking the universal tuples 3**12.  This is sound
-for three reasons.  (1) A skipped instance holds whatever the cells hold,
-so it never fails and never enters a conflict set; a cell only skipped
-instances read is not searched at all.  (2) A permutation of the domain
-keeps two values equal or unequal, so the admitted tuples, like all key
-tuples, are closed under domain permutations, and the transposition
-argument for table cells below still holds.  (3) Cell values satisfy
+every class, its *admitted* tuples; the others are never generated.
+``ceitin-h12`` at m=3 admits 378 of its 1,134 key tuples; walking its
+universal tuples would take 3**12.  This is sound for three reasons.
+(1) A skipped instance holds whatever the cells hold, so it never fails
+and never enters a conflict set; a cell only skipped instances read is
+not searched at all.  (2) A permutation of the domain keeps two values
+equal or unequal, so the admitted tuples, like all key tuples, are
+closed under domain permutations, and the transposition argument for
+table cells below still holds.  (3) Cell values satisfy
 every admitted instance exactly when they, with any values for the cells
 no admitted instance reads, satisfy every instance; so verdicts are
 unchanged, and the cells the search finds, with unread cells filled in
@@ -67,6 +68,37 @@ class of united cells, for a compiled sentence one table per letter.
 The classes are closed under domain permutations, because the admitted
 tuples are, so the transposition argument below holds with a class in
 place of a cell and its keys the keys of all of its cells.
+
+Most of the rest are chain links, the way the paper's sentences spell
+out how a word acts.  A top-level conjunct ``u = e`` of a conjunct's
+antecedent is a *chain link* when ``u`` is a keyed universal and ``e``
+an existential of the prefix whose key does not reach ``u``'s class,
+directly or through the links taken before it, such as ``ceitin-h12``'s
+``x'_a = y_c``, ``ceitin-e10``'s ``y_a = x2`` and ``reducer``'s ``x_j =
+y_{j+1}``.  A cyclic link stays an ordinary atom, as does one under
+``|`` or ``~`` or in the consequent.  The classes no link fixes are the
+conjunct's *start* classes.  An instance holds whatever the cells hold
+unless ``u``'s class takes the value of ``e``'s cell, so once the start
+classes have values, each link in turn fixes its class from a cell
+value, and the instance is a walk ``p -> y_c(p) -> ...``, the way
+``oracle.apply_word`` walks a word.  A conjunct with links is grounded
+on its start tuples only: ``ceitin-h12`` at m=3 on 42, and the compiled
+``ab = ba`` query on the Ceitin presentation at m=7 on 870, of 124,644
+admitted.  Every cell a walk can reach gets its class before the search
+starts.  The search parks an instance on the first class along its walk
+that has no value yet, advances the walk when that class takes one, and
+checks the instance when the walk ends.  This is sound for three
+reasons.  (1) Under any cell values, only one admitted instance per
+start tuple is live: the one whose linked classes hold the values the
+walk reads.  Every other admitted instance holds, so checking the walk's
+instance checks them all.  (2) Which instance a walk reaches depends on
+the values of the classes it read and on nothing else, so when it fails,
+those classes are its conflict set, as they were when every admitted
+instance was stored.  (3) A permutation of the domain maps the start
+tuples, all tuples of the start classes, onto themselves, and the walk
+from ``p`` under some cell values onto the walk from the image of ``p``
+under the permuted values, so the transposition argument below maps the
+admitted start tuples and their walks onto themselves.
 
 Both quantifier blocks and table cells break value symmetry (the
 least-number rule of SEM and Mace4).  The vocabulary is empty, so any
@@ -97,12 +129,12 @@ tables, one labelled clause at a time, and names the clauses they break.
 ``witness_tables`` runs ``evaluate``'s compile and search and reads the
 ``{name: {key: value}}`` tables ``table_failures`` checks off that one
 search: the outer ``exists`` spine's values stay in their slots when the
-search succeeds, and each successful branch search leaves its cells,
-their classes and the classes' values on the run's context, the last
-being the prefix ending the spine, whose node names the tables.  Each
-cell is reported at its class's value and cells no instance reads as 0,
-one node each, so its verdict is ``evaluate``'s and so is its spend,
-plus one node per unread cell.
+search succeeds, and each successful branch search leaves its ground,
+which gives every cell its class, and the classes' values on the run's
+context, the last being the prefix ending the spine, whose node names
+the tables.  Each cell is reported at its class's value and cells no
+instance reads as 0, one node each, so its verdict is ``evaluate``'s and
+so is its spend, plus one node per unread cell.
 
 Both engines charge their search steps against a ``Budget`` and raise
 ``BudgetExceeded`` rather than run away.  Results are deterministic.
@@ -322,23 +354,64 @@ def _equates(part: Formula, exis, keyed) -> bool:
     )
 
 
+def _walk(part: Implies, classes: dict[str, int], picks: dict, width: int):
+    """The chain links of ``part`` as walk steps, and its start classes.
+
+    ``classes`` maps each keyed universal to its class, one of ``width``,
+    and ``picks`` each existential ``part`` mentions to its index and its
+    key's classes.  A top-level conjunct ``u = e`` of ``part``'s
+    antecedent, with ``u`` keyed and ``e`` an existential, is a link, taken
+    as written, unless a link taken before fixes ``u``'s class or ``e``'s
+    key reaches that class, directly or through the links taken before.
+    Returns the steps ``(e's index, key classes, fixed class)``, ordered so
+    that every key class is a start class or fixed by an earlier step, and
+    the start classes: those no link fixes.
+    """
+    fixed: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for g in _conjuncts(part.antecedent):
+        if not isinstance(g, EqualAtom):
+            continue
+        for u, e in ((g.left.name, g.right.name), (g.right.name, g.left.name)):
+            if u in classes and e in picks and classes[u] not in fixed:
+                reached, todo = set(), list(picks[e][1])
+                while todo:
+                    c = todo.pop()
+                    if c not in reached:
+                        reached.add(c)
+                        todo.extend(fixed[c][1] if c in fixed else ())
+                if classes[u] not in reached:
+                    fixed[classes[u]] = picks[e]
+    starts = tuple(c for c in range(width) if c not in fixed)
+    known, steps = set(starts), []
+    while len(steps) < len(fixed):
+        c, (e, key) = next(
+            (c, link) for c, link in fixed.items() if c not in known and known.issuperset(link[1])
+        )
+        steps.append((e, key, c))
+        known.add(c)
+    return tuple(steps), starts
+
+
 def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
     """Compile a branched prefix into its enclosing scope's slots and one
-    ``(picks, spread, check)`` record per conjunct, in check order: fewest
-    existentials first, then fewest keyed universals, ties as written.
+    ``(starts, static, walked, steps, spread, check)`` record per conjunct,
+    in check order: fewest existentials first, then fewest keyed
+    universals, ties as written.
 
-    A conjunct is keyed by the universals its existentials depend on;
-    ``picks`` pairs each existential it mentions with the positions of its
-    key among them.  The conjunct's guards (``_guards``) between two keyed
-    universals join keyed positions into classes, numbered by their first
-    position, and ``spread`` maps each keyed position to its class.  Its
-    instances share ``check``, ``(keyed_slots, ex_slots, loose, test)``:
-    the slots of its keyed universals, existentials and other universals,
-    and its compiled closure.  ``check`` is None for a conjunct
-    ``A -> e1 = e2`` with existentials ``e1`` and ``e2`` and only
-    equalities of keyed universals as ``A``'s top-level conjuncts
-    (``_equates``): its admitted instances equate two cells, which
-    ``_ground`` merges.
+    A conjunct is keyed by the universals its existentials depend on.  Its
+    guards (``_guards``) between two keyed universals join keyed positions
+    into classes, numbered by their first position, and ``spread`` maps
+    each keyed position to its class.  Its chain links fix some classes
+    from cell values (``_walk``'s ``steps``); the others are its
+    ``starts``.  Each existential it mentions is a pick ``(existential, key
+    classes)``: ``static`` if its key lies in the start classes, else
+    ``walked``.  Its instances share ``check``, ``(keyed_slots, ex_slots,
+    loose, test)``: the slots of its keyed universals, of its existentials
+    (static picks first) and of its other universals, and its compiled
+    closure.  ``check`` is None for a conjunct ``A -> e1 = e2`` with
+    existentials ``e1`` and ``e2`` and only equalities of keyed universals
+    as ``A``'s top-level conjuncts (``_equates``): its admitted instances
+    equate two cells, which ``_ground`` merges.
     """
     prefix = node.prefix
     inner = dict(scope)
@@ -361,82 +434,127 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
             if len(guard) == 2 and guard <= pos.keys():
                 a, b = sorted(first[pos[name]] for name in guard)
                 first = [a if c == b else c for c in first]
-        picks = tuple((i, tuple(map(keyed.index, deps[i]))) for i in exs)
         spread = tuple(map(sorted(set(first)).index, first))
+        width = max(spread, default=-1) + 1
+        class_of = dict(zip(keyed, spread))
+        picks = {
+            prefix.existentials[i].name: (i, tuple(map(class_of.__getitem__, deps[i]))) for i in exs
+        }
+        merged = _equates(part, exis, pos.keys())
+        steps, starts = (), tuple(range(width))
+        if not merged and isinstance(part, Implies):
+            steps, starts = _walk(part, {n: spread[p] for n, p in pos.items()}, picks, width)
+        static, walked = [], []
+        for pick in picks.values():
+            (static if set(pick[1]).issubset(starts) else walked).append(pick)
         check = None
-        if not _equates(part, exis, pos.keys()):
+        if not merged:
             keyed_slots = tuple(inner[prefix.universals[j].name] for j in keyed)
-            ex_slots = tuple(inner[prefix.existentials[i].name] for i in exs)
+            ex_slots = tuple(inner[prefix.existentials[i].name] for i, _ in static + walked)
             check = (keyed_slots, ex_slots, loose, _compile(part, inner, ctx))
-        conjuncts.append(((len(exs), len(keyed)), (picks, spread, check)))
+        conjuncts.append(((len(exs), len(keyed)), (starts, static, walked, steps, spread, check)))
     conjuncts.sort(key=lambda c: c[0])
     return tuple(scope.values()), [record for _, record in conjuncts]
 
 
 def _ground(conjuncts, m: int, charge):
-    """Instantiate every conjunct record over its admitted keyed tuples.
+    """Instantiate every conjunct record on its start tuples.
 
     A conjunct's admitted tuples are the tuples of its keyed universals
     that are constant on each guard class (``_compile_branch``); every
     other tuple makes a guard false, so its instance holds whatever the
-    cells hold and is never built.  The class values are enumerated in
-    lexicographic order and spread onto the keyed positions; classes are
-    numbered by their first position, so the admitted tuples come in the
-    lexicographic order of the full tuples.  An instance of a conjunct
-    whose ``check`` is None equates its two cells: they are united
-    (union-find) instead, and the search assigns one value per class of
-    united cells.
+    cells hold and is never built.  Of the admitted tuples, only those
+    whose linked classes hold the values their walks read can fail, so
+    the values of the start classes are enumerated alone, in
+    lexicographic order, and the search walks each instance's links.
+    An instance of a conjunct whose ``check`` is None equates its two
+    cells: they are united (union-find) before any instance is stored,
+    and the search assigns one value per class of united cells.  So a
+    class is final when an instance first reads one of its cells, and is
+    numbered then; the classes of cells that only walks reach follow, then
+    those of cells that only merged conjuncts name.
 
-    Returns ``(cells, group, top, first, checks)``: the cells
-    ``(existential, key)`` in order of first appearance, each cell's
-    class, numbered in order of first appearance, each class's largest
-    key value (-1 if none), the instances that read no cell, and per class
-    the instances whose last class it is.  An instance is ``(values,
-    read, check)``: the keyed universals' values, the classes of the
-    cells its existentials read, and its conjunct's ``check``.  One node
-    per admitted tuple.
+    Returns ``(classes, top, first, checks)``: per existential, each
+    cell's class by key; each class's largest key value (-1 if none); the
+    instances that read no cell; and per class the instances parked on
+    it, the last class their start tuple reads.  An instance is ``(rank,
+    values, read, walk, check)``: its place in grounding order, its keyed
+    universals' values (None for a walk), the classes its static picks
+    read, None or its walk ``(step, class values, steps, walked picks,
+    spread)`` at step 0, and its conjunct's ``check``.  One node per start
+    tuple, and one per cell only a walk reaches.
     """
-    cell_of: dict[tuple, int] = {}
-    cells: list[tuple[int, tuple[int, ...]]] = []
+    ids: dict[tuple, int] = {}
     parent: list[int] = []
-    insts = []
+    # Each root's class, -1 until an instance reads a cell of its class.
+    number: list[int] = []
 
-    def root(c: int) -> int:
+    def root(cell) -> int:
+        c = ids.get(cell)
+        if c is None:
+            c = ids[cell] = len(parent)
+            parent.append(c)
+            number.append(-1)
         while parent[c] != c:
             parent[c] = parent[parent[c]]
             c = parent[c]
         return c
 
-    for picks, spread, check in conjuncts:
-        for classed in _tuples(max(spread, default=-1) + 1, m):
-            charge()
-            values = tuple(map(classed.__getitem__, spread))
-            read = []
-            for i, pos in picks:
-                cell = (i, tuple(map(values.__getitem__, pos)))
-                c = cell_of.get(cell)
-                if c is None:
-                    c = cell_of[cell] = len(cells)
-                    cells.append(cell)
-                    parent.append(c)
-                read.append(c)
-            if check is None:
-                # The root of a class is its first cell.
-                a, b = root(read[0]), root(read[-1])
+    # Unions first, so that every class's root is final when it is numbered.
+    for starts, static, _, _, _, check in conjuncts:
+        if check is None:
+            (i, ki), (j, kj) = static[0], static[-1]
+            for classed in _tuples(len(starts), m):
+                charge()
+                a = root((i, tuple(map(classed.__getitem__, ki))))
+                b = root((j, tuple(map(classed.__getitem__, kj))))
                 parent[max(a, b)] = min(a, b)
+    checks: list[list] = []
+
+    def klass(cell) -> int:
+        r = root(cell)
+        k = number[r]
+        if k < 0:
+            k = number[r] = len(checks)
+            checks.append([])
+        return k
+
+    first: list[tuple] = []
+    stored = 0
+    for starts, static, walked, steps, spread, check in conjuncts:
+        if check is None:
+            continue
+        width = max(spread, default=-1) + 1
+        for vals in _tuples(len(starts), m):
+            charge()
+            if steps:
+                classed = [0] * width
+                for c, v in zip(starts, vals):
+                    classed[c] = v
+                values, walk = None, (0, classed, steps, walked, spread)
             else:
-                insts.append((values, read, check))
-    number: dict[int, int] = {}
-    group = [number.setdefault(root(c), len(number)) for c in range(len(cells))]
-    top = [-1] * len(number)
-    for (_, key), k in zip(cells, group):
-        top[k] = max((top[k], *key))
-    first = []
-    checks: list[list] = [[] for _ in number]
-    for values, read, check in insts:
-        read = tuple(map(group.__getitem__, read))
-        (checks[max(read)] if read else first).append((values, read, check))
-    return cells, group, top, first, checks
+                classed, walk = vals, None
+                values = tuple(map(vals.__getitem__, spread))
+            read = [klass((i, tuple(map(classed.__getitem__, key)))) for i, key in static]
+            (checks[max(read)] if read else first).append((stored, values, read, walk, check))
+            stored += 1
+    # The cells only walks reach, then those only merged conjuncts name.
+    for _, _, walked, _, _, _ in conjuncts:
+        for i, key in walked:
+            distinct = sorted(set(key))
+            for vals in _tuples(len(distinct), m):
+                cell = (i, tuple(vals[distinct.index(c)] for c in key))
+                if cell not in ids:
+                    charge()
+                klass(cell)
+    classes: dict[int, dict[tuple, int]] = {}
+    for cell in ids:
+        classes.setdefault(cell[0], {})[cell[1]] = klass(cell)
+    top = [-1] * len(checks)
+    for tab in classes.values():
+        for key, k in tab.items():
+            top[k] = max((top[k], *key))
+    return classes, top, first, checks
 
 
 def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
@@ -452,38 +570,78 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
     docstring says why that is sound).  ``hi[i-1]`` covers all of that but
     class i-1's value and class i's keys, so the search sets ``hi[i]`` to
     ``min(m-1, max(hi[i-1], value[i-1]+1, top[i]+1))`` as it enters class
-    i.  An instance is checked when its last class is assigned, its loose
-    universals looped inside the check; when it fails, its other classes
-    join the current class's conflict set.  A class that runs out of
+    i.
+
+    An instance is visited, in grounding order, each time the class it is
+    parked on takes a value.  It walks its steps, reading each step's cell
+    at the values its walk has so far; at a cell whose class has no value
+    yet it parks on that class, and once every class it reads has a value
+    it is checked, its loose universals looped inside the check.  A walk
+    that parks again is kept on a trail, undone when the class it left
+    tries another value or the search jumps back past it.  When an instance fails, the classes it
+    read join the current class's conflict set: its walk, and so which
+    instance it is, depends on nothing else.  A class that runs out of
     values jumps back to the latest class of its set, merging the rest of
     the set into that class's; an empty set means no assignment of the
     other classes can help, so the prefix is false.  Instances that read
-    no cell are checked once, first.  One node per class value tried and
-    per loose tuple checked.
+    no cell are checked once, first.  One node per class value tried, per
+    walk step taken and per loose tuple checked.
     """
     m = ctx.m
     charge = ctx.budget.charge
-    _, _, top, first, checks = ground
+    classes, top, first, checks = ground
     count = len(checks)
     value = [-1] * count
+    # Walks parked again by this search, per class, as instances whose walk
+    # resumes where it stopped; ``trail`` lists the classes they were
+    # parked on, and ``mark[i]`` is its length when class i was entered.
+    parked: dict[int, list] = {}
+    trail: list[int] = []
+    mark = [0] * count
 
-    def holds(inst) -> bool:
-        values, read, (keyed_slots, ex_slots, loose, test) = inst
+    def visit(inst, i: int):
+        """None if ``inst`` holds or is parked again, else the classes it
+        read; classes up to ``i`` have values."""
+        rank, values, read, walk, check = inst
+        keyed_slots, ex_slots, loose, test = check
+        if walk is not None:
+            j, classed, steps, walked, spread = walk
+            classed = classed[:]
+            while j < len(steps):
+                e, key, fixed = steps[j]
+                c = classes[e][tuple(map(classed.__getitem__, key))]
+                if c > i:
+                    break
+                charge()
+                classed[fixed] = value[c]
+                j += 1
+            else:
+                reached = read + [
+                    classes[e][tuple(map(classed.__getitem__, key))] for e, key in walked
+                ]
+                c = max(reached)
+            if c > i:
+                walk = (j, classed, steps, walked, spread)
+                parked.setdefault(c, []).append((rank, None, read, walk, check))
+                trail.append(c)
+                return None
+            read = reached
+            values = map(classed.__getitem__, spread)
         for s, v in zip(keyed_slots, values):
             env[s] = v
         for s, c in zip(ex_slots, read):
             env[s] = value[c]
         if not loose:
-            return test(env)
+            return None if test(env) else read
         for vals in _tuples(len(loose), m):
             charge()
             for s, v in zip(loose, vals):
                 env[s] = v
             if not test(env):
-                return False
-        return True
+                return read
+        return None
 
-    if not all(holds(inst) for inst in first):
+    if any(visit(inst, -1) is not None for inst in first):
         return None
     hi = [m - 1] * count
     if count:
@@ -494,10 +652,17 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
         while value[i] < hi[i]:
             value[i] += 1
             charge()
-            failed = next((inst for inst in checks[i] if not holds(inst)), None)
-            if failed is None:
+            while len(trail) > mark[i]:
+                parked[trail.pop()].pop()
+            # Instances are visited in the order they were grounded.
+            queue = sorted(checks[i] + parked[i]) if parked.get(i) else checks[i]
+            for inst in queue:
+                failed = visit(inst, i)
+                if failed is not None:
+                    break
+            else:
                 break
-            conflicts[i].update(failed[1])
+            conflicts[i].update(failed)
             conflicts[i].discard(i)
         else:
             # Class i is out of values: jump back to the latest class to blame.
@@ -512,6 +677,7 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
         if i < count:
             value[i] = -1
             conflicts[i].clear()
+            mark[i] = len(trail)
             hi[i] = hi[i - 1]
             if hi[i] < m - 1:  # once a bound reaches m - 1, so do all later ones
                 hi[i] = min(m - 1, max(hi[i], value[i - 1] + 1, top[i] + 1))
@@ -756,15 +922,13 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
         # Nothing runs after the spine's final branch search succeeds, and a
         # nested branch finishes before the branch around it.  Unread cells
         # get 0 at one node each: every table is total, its size budgeted.
-        (cells, group, *_), values = solved
+        (classes, *_), values = solved
         prefix = node.prefix
-        found = [{} for _ in prefix.existentials]
-        for (e, key), k in zip(cells, group):
-            found[e][key] = values[k]
-        for v, deps, tab in zip(prefix.existentials, prefix.deps, found):
+        for e, (v, deps) in enumerate(zip(prefix.existentials, prefix.deps)):
+            tab = classes.get(e, {})
             table = tables[v.name] = {}
             for key in _tuples(len(deps), size):
                 if key not in tab:
                     budget.charge()
-                table[key] = tab.get(key, 0)
+                table[key] = values[tab[key]] if key in tab else 0
     return tables

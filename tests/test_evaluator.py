@@ -18,8 +18,10 @@ from henkin import (
     Presentation,
     Variable,
     Witness,
+    build_hn,
     ceitin_e10,
     ceitin_h12,
+    ceitin_h12_with_query,
     ceitin_presentation,
     check_witness,
     conjoin,
@@ -482,15 +484,18 @@ class TestGroundedSearch:
         assert budget.spent < 10_000
 
     def test_ceitin_h12_node_guard(self):
-        # 378 admitted tuples, 360 instances stored (1,134 tuples without the
-        # functionality clauses' guards); walking the universal tuples cost
-        # 531,441.
+        # 114 nodes: 42 start tuples, 18 merging cells and 24 stored, all of
+        # them walks.  Grounding
+        # the chain links on every tuple admitted 378 (1,134 without the
+        # functionality clauses' guards) and cost 396 nodes; walking the
+        # universal tuples cost 531,441.
         budget = Budget()
         assert evaluate(ceitin_h12(), 3, budget=budget) is True
         assert budget.spent < 2_000
 
     def test_ceitin_h12_size_five_node_guard(self):
-        # 2,460 nodes; grounding the tuples the guards skip cost 12,210.
+        # 190 nodes; grounding every admitted tuple of the chain links cost
+        # 2,460, and the tuples the guards skip as well 12,210.
         budget = Budget()
         assert evaluate(ceitin_h12(), 5, budget=budget) is True
         assert budget.spent < 5_000
@@ -503,7 +508,7 @@ class TestGroundedSearch:
             budget = Budget()
             assert evaluate(ceitin_h12(), m, budget=budget) is True
             spent.append(budget.spent)
-        assert spent == [396, 1_088, 2_460, 4_860, 8_708]
+        assert spent == [114, 152, 190, 228, 266]
 
     def test_crosscheck_at_size_four_node_guard(self):
         spent = 0
@@ -515,13 +520,13 @@ class TestGroundedSearch:
         assert spent < 100_000
 
     def test_crosscheck_node_counts(self):
-        # Exact counts per instance at m = 4 and 5 (4,759 and 6,968 in
+        # Exact counts per instance at m = 4 and 5 (5,244 and 7,749 in
         # all).  The order of the conjuncts alone moves them 50-fold, so a
-        # change to the grounding, the merging, the cell order or the cell
-        # bound shows here and must update them.
+        # change to the grounding, the merging, the walks, the cell order or
+        # the cell bound shows here and must update them.
         expected = {
-            4: [233, 37, 1_058, 22, 69, 157, 211, 1_151, 157, 1_394, 109, 161],
-            5: [284, 39, 1_553, 26, 77, 177, 244, 1_517, 188, 2_494, 132, 237],
+            4: [249, 37, 1_401, 22, 69, 157, 214, 1_320, 156, 1_401, 105, 113],
+            5: [292, 39, 2_378, 26, 77, 169, 239, 1_717, 180, 2_378, 122, 132],
         }
         for m, counts in expected.items():
             spent = []
@@ -566,17 +571,24 @@ class TestGroundedSearch:
         assert evaluate(f, m) == evaluate_naive(f, m)
 
 
-def _merged(monkeypatch, f, m) -> tuple[bool, int]:
-    """``evaluate(f, m)``, and how many conjuncts of the branched prefixes
-    it grounds ``_ground`` merges (those whose ``check`` is None)."""
-    ground, merged = evaluator._ground, []
+def _grounded(f, m) -> tuple[bool, list]:
+    """``evaluate(f, m)``, and the conjunct records of the branched
+    prefixes it grounds: ``(starts, static, walked, steps, spread,
+    check)``.  ``_ground`` merges those whose ``check`` is None and walks
+    the instances of those with ``steps``."""
+    ground, records = evaluator._ground, []
 
     def spy(conjuncts, *args):
-        merged.extend(check is None for _, _, check in conjuncts)
+        records.extend(conjuncts)
         return ground(conjuncts, *args)
 
-    monkeypatch.setattr(evaluator, "_ground", spy)
-    return evaluate(f, m), sum(merged)
+    # Patched by hand, not by the monkeypatch fixture, so that Hypothesis
+    # tests can use it too.
+    evaluator._ground = spy
+    try:
+        return evaluate(f, m), records
+    finally:
+        evaluator._ground = ground
 
 
 class TestMergedCells:
@@ -616,10 +628,10 @@ class TestMergedCells:
         ],
     )
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_shapes_agree_with_naive_engine(self, monkeypatch, text, merged, m):
+    def test_shapes_agree_with_naive_engine(self, text, merged, m):
         f = P(text)
-        verdict, count = _merged(monkeypatch, f, m)
-        assert count == merged
+        verdict, records = _grounded(f, m)
+        assert sum(check is None for *_, check in records) == merged
         assert verdict == evaluate_naive(f, m)
         if verdict:
             assert _tables_hold(f, m, witness_tables(f, m))
@@ -687,6 +699,122 @@ def _crosscheck_sentences():
         (f"crosscheck-{i}", reducer.compile(Presentation.of(equations), Equation(*query)))
         for i, (equations, query, _) in enumerate(CROSSCHECK_INSTANCES)
     ]
+
+
+# Sentences whose truth is monotone in the domain size, with the largest
+# size checked: each says a model separates the two words of a query, and
+# a separating model stays one when a point that every letter fixes is
+# added.
+_SEPARATION = [(name, f, 6) for name, f in _crosscheck_sentences()]
+_SEPARATION += [
+    (f"ceitin-{q}", reducer.compile(ceitin_presentation(), Equation(*q.split("="))), 6)
+    for q in ("ab=ba", "ac=ca")
+]
+_SEPARATION += [
+    (f"h12-route-{q}", ceitin_h12_with_query(Equation(*q.split("="))), 7)
+    for q in ("ab=ba", "a=b", "ac=ca")
+]
+
+
+class TestChainLinks:
+    """A conjunct ``A -> B`` with an antecedent link ``u = e`` is grounded on
+    its start classes, and the search walks its links to the rest."""
+
+    @given(st.data())
+    def test_linked_prefixes_agree_with_naive_engine(self, data):
+        rows = data.draw(st.integers(2, 3))
+        unis = [f"x{k}" for k in range(rows)]
+        exis = [f"y{k}" for k in range(rows)]
+        spine = data.draw(st.booleans())
+        names = unis + exis + ["t"] * spine
+        link = st.builds(equal, st.sampled_from(unis), st.sampled_from(exis))
+        atom = st.builds(equal, st.sampled_from(names), st.sampled_from(names))
+        # The first conjunct's first atom is a link x_a = y_b, the conjunct
+        # reads y_a, so x_a is keyed, and no guard joins x_a and x_b: it
+        # always walks.
+        a, b = data.draw(st.permutations(range(rows)))[:2]
+        to_spine = [st.builds(equal, st.sampled_from(unis), st.just("t"))] * spine
+        extra = data.draw(st.lists(st.one_of(link, *to_spine), max_size=2))
+        read = equal(exis[a], data.draw(st.sampled_from(exis + ["t"] * spine)))
+        joined = data.draw(st.sampled_from([And, Or]))
+        walked = Implies(
+            conjoin([equal(unis[a], exis[b]), *extra]),
+            joined((read, data.draw(_quantifier_free(exis + ["t"] * spine)))),
+        )
+        # The others hold links anywhere: cyclic ones, ones beside guards or
+        # under ``|`` and ``~``, and ones in consequents.
+        linked = st.builds(
+            Implies, st.lists(st.one_of(link, atom), min_size=1, max_size=3).map(conjoin),
+            _quantifier_free(names),
+        )
+        parts = data.draw(st.lists(st.one_of(linked, _quantifier_free(names)), max_size=2))
+        f = Branch(build_hn(zip(unis, exis)), conjoin([walked, *parts]))
+        if spine:
+            f = Exists((Variable("t"),), f)
+        m = data.draw(st.integers(1, 3 if rows == 2 else 2))
+        verdict, records = _grounded(f, m)
+        assert any(steps for _, _, _, steps, _, _ in records)
+        assert verdict == evaluate_naive(f, m)
+        if verdict:
+            assert _tables_hold(f, m, witness_tables(f, m))
+
+    @pytest.mark.parametrize(
+        "text, walks",
+        [
+            ("H{ forall x z ; y(x), w(z) } . (z = y -> w = x) & y = x", True),
+            ("H{ forall x z ; y(x), w(z) } . (x = y -> w = x) & y = x", False),
+            ("H{ forall x z ; y(x), w(z) } . (z = y & x = w -> w = x) & y = x", True),
+            ("H{ forall x z ; y(x), w(z) } . (x = z & z = y -> w = x) & y = x", False),
+            ("H{ forall x z ; y(x), w(z) } . ((z = y | x = x) -> w = x) & y = x", False),
+            ("H{ forall x z ; y(x), w(z) } . (~(z != y) -> w = x) & y = x", False),
+            ("H{ forall x z ; y(x), w(z) } . (x = x -> (z = y -> w = x)) & y = x", False),
+            ("exists t . H{ forall x z ; y(x), w(z) } . (z = t -> w = y) & y = x", False),
+            ("H{ forall x z u ; y(x), w(z), v(u) } . (z = y & u = w -> v != x)", True),
+            ("H{ forall x ; c(), y(x) } . (x = c -> y != c) & (y = x | y = c)", True),
+            ("H{ forall x z ; y(x z), w() } . (x = w & z = w -> y = x)", True),
+        ],
+        ids=["link", "cyclic", "two-ways", "guard-joins", "under-or", "under-not",
+             "in-consequent", "outer-exists", "chain-of-two", "arity-zero", "two-key-walk"],
+    )
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_shapes_agree_with_naive_engine(self, text, walks, m):
+        f = P(text)
+        verdict, records = _grounded(f, m)
+        assert any(steps for _, _, _, steps, _, _ in records) == walks
+        assert verdict == evaluate_naive(f, m, budget=Budget(2_000_000))
+        if verdict:
+            assert _tables_hold(f, m, witness_tables(f, m))
+
+    def test_compiled_ceitin_node_guard(self):
+        # 1,143 nodes at m=7; grounding every tuple of the chains cost 124,740.
+        sentence = reducer.compile(ceitin_presentation(), Equation("ab", "ba"))
+        budget = Budget()
+        assert evaluate(sentence, 7, budget=budget) is True
+        assert budget.spent < 5_000
+
+    def test_ceitin_h12_size_twelve_node_guard(self):
+        # 456 nodes; grounding every tuple of the chains cost 69,408.
+        budget = Budget()
+        assert evaluate(ceitin_h12(), 12, budget=budget) is True
+        assert budget.spent < 2_000
+
+    def test_h12_route_node_counts(self):
+        # Exact counts for the query ae = ea at m = 3..5.  A walk still
+        # parked after a class it read takes another value only holds, its
+        # link now false, so the count alone shows that the trail undoes
+        # it: without the undo these are 481, 1,020 and 2,141.
+        sentence = ceitin_h12_with_query(Equation("ae", "ea"))
+        spent = []
+        for m in (3, 4, 5):
+            budget = Budget()
+            assert evaluate(sentence, m, budget=budget) is True
+            spent.append(budget.spent)
+        assert spent == [458, 966, 2_029]
+
+    @pytest.mark.parametrize("name, f, top", _SEPARATION, ids=[n for n, _, _ in _SEPARATION])
+    def test_separation_is_monotone_in_size(self, name, f, top):
+        verdicts = [evaluate(f, m) for m in range(1, top + 1)]
+        assert verdicts == sorted(verdicts), verdicts
 
 
 _REUSE_CASES = _crosscheck_sentences() + agreement_corpus()
