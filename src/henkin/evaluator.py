@@ -100,6 +100,21 @@ from ``p`` under some cell values onto the walk from the image of ``p``
 under the permuted values, so the transposition argument below maps the
 admitted start tuples and their walks onto themselves.
 
+A ground is flat, so that its memory follows the tuples it grounds, not
+the key spaces of its tables.  A cell's id is its existential's offset
+plus its key read in base m, the way Mace4 addresses its cells (McCune
+2003); an existential keeps one ``array`` slot per key, or, when its
+guards admit few of its keys, a dict entry per cell it names.  An
+instance is its rank, its place in grounding order, which names its
+conjunct and its start tuple; the classes its static cells read sit
+beside it in an ``array``, and the search decodes its universals' values
+from the rank when it visits it.  Class numbers, their key bounds and the
+instances filed per class (offsets into one ``array`` of ranks) are
+``array``s too, and a class's conflict set is made when a failure first
+blames another class.  ``H{ forall x z ; y(x z) } . y = x`` grounds
+m**2 tuples at about 65 bytes each: at m=1000 it peaks at 78 MB of RSS
+before a 2,000,000-node budget runs out.
+
 Both quantifier blocks and table cells break value symmetry (the
 least-number rule of SEM and Mace4).  The vocabulary is empty, so any
 permutation of the domain that fixes the values already bound is an
@@ -141,6 +156,11 @@ Both engines charge their search steps against a ``Budget`` and raise
 """
 
 from __future__ import annotations
+
+from array import array
+from bisect import bisect_right
+from itertools import chain
+from operator import mul
 
 from .budget import Budget, BudgetExceeded
 from .syntax import (
@@ -275,7 +295,7 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
             # an outer block may visit the prefix many times.
             ground = ctx.grounds[k]
             if ground is None:
-                ground = ctx.grounds[k] = _ground(conjuncts, ctx.m, ctx.budget.charge)
+                ground = ctx.grounds[k] = _ground(conjuncts, ctx.m, ctx.budget)
             values = _branch_search(ground, outer, env, ctx)
             if values is None:
                 return False
@@ -457,7 +477,13 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
     return tuple(scope.values()), [record for _, record in conjuncts]
 
 
-def _ground(conjuncts, m: int, charge):
+# An existential keeps its cells in an array when its key space is at most
+# this many times the cells it may name: an array slot takes 8 bytes, a dict
+# entry about 100.
+_DENSE = 8
+
+
+def _ground(conjuncts, m: int, budget: Budget):
     """Instantiate every conjunct record on its start tuples.
 
     A conjunct's admitted tuples are the tuples of its keyed universals
@@ -474,87 +500,212 @@ def _ground(conjuncts, m: int, charge):
     numbered then; the classes of cells that only walks reach follow, then
     those of cells that only merged conjuncts name.
 
-    Returns ``(classes, top, first, checks)``: per existential, each
-    cell's class by key; each class's largest key value (-1 if none); the
-    instances that read no cell; and per class the instances parked on
-    it, the last class their start tuple reads.  An instance is ``(rank,
-    values, read, walk, check)``: its place in grounding order, its keyed
-    universals' values (None for a walk), the classes its static picks
-    read, None or its walk ``(step, class values, steps, walked picks,
-    spread)`` at step 0, and its conjunct's ``check``.  One node per start
+    Storage is flat.  A cell's id is its existential's offset plus its key
+    read in base m (``_weights``).  An existential whose key space is
+    within ``_DENSE`` times both the cells its picks can reach and the
+    budget left keeps one ``array`` slot per key, at the ids below
+    ``dense``; the others, whose guards admit few of their keys, keep the
+    cells they name in the dict ``far``, keyed by id.  An instance is its
+    rank, its place in grounding order: ranks ``bases[c]`` on are conjunct
+    c's, one per start tuple in lexicographic order, so the start tuple is
+    the rank's offset read in base m.
+
+    Returns ``(off, (dense, cell, far), top, first, order, start, reads,
+    bases, plans)``: per existential its offset; each cell's class, -1 if
+    none; each class's largest key value (-1 if none); the ranks that read
+    no cell; the other ranks filed per class in grounding order, class k's
+    in ``order[start[k]:start[k + 1]]``, on the last class their start
+    tuple reads; the classes each rank's static picks read, conjunct c's
+    ``npicks`` per rank from ``reads[rbase]`` on; and per stored conjunct
+    its first rank ``base``, and its plan ``(base, rbase, npicks, keyed,
+    links, ex_slots, loose, test)``.  ``keyed`` pairs each keyed
+    universal's slot with the power of m its value is the digit of.
+    ``links`` is None, and ``ex_slots`` pairs each existential's slot with
+    its place among the rank's reads; or, for a conjunct with chain links,
+    ``links`` is ``(digits, steps, walked, slots)``: the power of m per
+    class (m**len(starts) for a linked one, so that it reads 0), the walk
+    steps and walked picks as ``(offset, weights[, fixed class])``, and
+    each keyed slot's class, ``keyed`` is empty, and ``ex_slots`` lists
+    the slots of the static picks, then the walked.  One node per start
     tuple, and one per cell only a walk reaches.
     """
-    ids: dict[tuple, int] = {}
-    parent: list[int] = []
-    # Each root's class, -1 until an instance reads a cell of its class.
-    number: list[int] = []
+    charge = budget.charge
+    # Per existential, its arity and how many cells its picks can reach.
+    arity: dict[int, int] = {}
+    reach: dict[int, int] = {}
+    for record in conjuncts:
+        for picks in (record[1], record[2]):
+            for e, key in picks:
+                arity[e] = a = len(key)
+                reach[e] = reach.get(e, 0) + m ** (len(set(key)) if a > 1 else a)
+    sparse = {e for e, a in arity.items() if m**a > _DENSE * min(reach[e], budget.remaining)}
+    off: dict[int, int] = {}
+    dense = size = 0
+    for e in sorted(arity, key=sparse.__contains__) if sparse else arity:
+        off[e] = size
+        size += m ** arity[e]
+        if e not in sparse:
+            dense = size
+    # A cell's entry: its parent's id (a lower one) while it is not a root,
+    # else -1 until something names it, -2 until its class is numbered and
+    # -3 - k once it is class k.
+    cell = array("q", [-1]) * dense
+    far: dict[int, int] = {}
+    top = array("q")
 
-    def root(cell) -> int:
-        c = ids.get(cell)
-        if c is None:
-            c = ids[cell] = len(parent)
-            parent.append(c)
-            number.append(-1)
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
+    # With no sparse existential, every id is an index of ``cell``.
+    get, put = cell.__getitem__, cell.__setitem__
+    if sparse:
+
+        def get(g: int) -> int:
+            return cell[g] if g < dense else far.get(g, -1)
+
+        def put(g: int, v: int) -> None:
+            if g < dense:
+                cell[g] = v
+            else:
+                far[g] = v
+
+    def root(g: int) -> int:
+        v = get(g)
+        if v == -1:
+            put(g, -2)
+        while v >= 0:
+            u = get(v)
+            if u >= 0:
+                put(g, u)
+            g, v = v, u
+        return g
+
+    def klass(g: int) -> int:
+        v = get(g)
+        if v < -2:
+            return -3 - v
+        r = root(g)
+        v = get(r)
+        if v < -2:
+            return -3 - v
+        put(r, -3 - len(top))
+        top.append(-1)
+        return len(top) - 1
+
+    weights: dict[tuple, tuple[int, ...]] = {}
+
+    def cells(picks, width: int) -> list[tuple]:
+        """``picks`` with each existential's offset and key weights in place
+        of the existential and its key."""
+        out = []
+        for e, key, *rest in picks:
+            w = weights.get((key, width))
+            if w is None:
+                w = weights[key, width] = _weights(key, width, m)
+            out.append((off[e], w, *rest))
+        return out
 
     # Unions first, so that every class's root is final when it is numbered.
-    for starts, static, _, _, _, check in conjuncts:
+    for starts, static, _, _, spread, check in conjuncts:
         if check is None:
-            (i, ki), (j, kj) = static[0], static[-1]
+            (oi, wi), (oj, wj) = cells((static[0], static[-1]), max(spread) + 1)
             for classed in _tuples(len(starts), m):
                 charge()
-                a = root((i, tuple(map(classed.__getitem__, ki))))
-                b = root((j, tuple(map(classed.__getitem__, kj))))
-                parent[max(a, b)] = min(a, b)
-    checks: list[list] = []
-
-    def klass(cell) -> int:
-        r = root(cell)
-        k = number[r]
-        if k < 0:
-            k = number[r] = len(checks)
-            checks.append([])
-        return k
-
-    first: list[tuple] = []
-    stored = 0
+                a = root(oi + sum(map(mul, classed, wi)))
+                b = root(oj + sum(map(mul, classed, wj)))
+                if a != b:
+                    put(max(a, b), min(a, b))
+    # Each rank's class, -1 for those that read no cell, and the classes its
+    # static picks read, from ``reads[rbase]`` on for its conjunct's first.
+    park = array("q")
+    reads = array("q")
+    bases, plans, walks = [], [], []
     for starts, static, walked, steps, spread, check in conjuncts:
         if check is None:
             continue
         width = max(spread, default=-1) + 1
+        keyed_slots, ex_slots, loose, test = check
+        static = cells(static, width)
+        bases.append(len(park))
+        if steps:
+            # A start class's value is a digit of the start tuple read in base
+            # m; a linked class reads 0, as m**len(starts) exceeds every tuple.
+            digits = [m ** len(starts)] * width
+            for p, c in enumerate(reversed(starts)):
+                digits[c] = m**p
+            walked = cells(walked, width)
+            walks.append(walked)
+            links = (digits, cells(steps, width), walked, list(zip(keyed_slots, spread)))
+            plans.append((len(park), len(reads), len(static), (), links, ex_slots, loose, test))
+            # Static picks read only start classes: weigh the start tuple.
+            static = [(o, tuple(map(w.__getitem__, starts))) for o, w in static]
+        else:
+            # Every class is a start class: its value is digit width-1-c.
+            keyed = [(s, m ** (width - 1 - c)) for s, c in zip(keyed_slots, spread)]
+            # Each existential's slot, and where its class sits among the reads.
+            ex_slots = list(zip(ex_slots, range(len(static))))
+            plans.append((len(park), len(reads), len(static), keyed, None, ex_slots, loose, test))
         for vals in _tuples(len(starts), m):
             charge()
-            if steps:
-                classed = [0] * width
-                for c, v in zip(starts, vals):
-                    classed[c] = v
-                values, walk = None, (0, classed, steps, walked, spread)
-            else:
-                classed, walk = vals, None
-                values = tuple(map(vals.__getitem__, spread))
-            read = [klass((i, tuple(map(classed.__getitem__, key)))) for i, key in static]
-            (checks[max(read)] if read else first).append((stored, values, read, walk, check))
-            stored += 1
+            read = [klass(o + sum(map(mul, vals, w))) for o, w in static]
+            reads.extend(read)
+            park.append(max(read) if read else -1)
+    first = [r for r, k in enumerate(park) if k < 0]
     # The cells only walks reach, then those only merged conjuncts name.
-    for _, _, walked, _, _, _ in conjuncts:
-        for i, key in walked:
-            distinct = sorted(set(key))
-            for vals in _tuples(len(distinct), m):
-                cell = (i, tuple(vals[distinct.index(c)] for c in key))
-                if cell not in ids:
+    for walked in walks:
+        for o, w in walked:
+            w = [x for x in w if x]  # the key's classes' weights, in class order
+            for vals in _tuples(len(w), m):
+                g = o + sum(map(mul, vals, w))
+                if get(g) == -1:
                     charge()
-                klass(cell)
-    classes: dict[int, dict[tuple, int]] = {}
-    for cell in ids:
-        classes.setdefault(cell[0], {})[cell[1]] = klass(cell)
-    top = [-1] * len(checks)
-    for tab in classes.values():
-        for key, k in tab.items():
-            top[k] = max((top[k], *key))
-    return classes, top, first, checks
+                klass(g)
+    # In id order, every parent comes before its children: give each cell
+    # its class, numbering the roots still without one, and each class its
+    # largest key value.
+    for e, o in off.items():
+        ids = range(o, o + m ** arity[e])
+        if o >= dense:
+            ids = sorted(g for g in far if g in ids)
+        for g in ids:
+            v = get(g)
+            if v == -1:
+                continue
+            if v == -2:
+                top.append(-1)
+                k = len(top) - 1
+            else:
+                k = -3 - v if v < 0 else get(v)
+            put(g, k)
+            n = g - o
+            for _ in range(arity[e]):
+                n, d = divmod(n, m)
+                if d > top[k]:
+                    top[k] = d
+    # File the ranks per class, by a counting sort that keeps their order.
+    count = len(top)
+    start = array("q", [0]) * (count + 1)
+    for k in park:
+        if k >= 0:
+            start[k] += 1
+    total = 0
+    for k in range(count):
+        total += start[k]
+        start[k] = total
+    start[count] = total
+    order = array("q", [0]) * total
+    for r in range(len(park) - 1, -1, -1):
+        k = park[r]
+        if k >= 0:
+            start[k] -= 1
+            order[start[k]] = r
+    return off, (dense, cell, far), top, first, order, start, reads, bases, plans
+
+
+def _weights(key, width: int, m: int) -> tuple[int, ...]:
+    """Per class, what its value adds to the id of a cell keyed by ``key``'s
+    classes: the key is read in base m, so ``key[j]`` adds ``m**(a-1-j)``."""
+    w = [0] * width
+    for j, c in enumerate(reversed(key)):
+        w[c] += m**j
+    return tuple(w)
 
 
 def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
@@ -570,10 +721,16 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
     docstring says why that is sound).  ``hi[i-1]`` covers all of that but
     class i-1's value and class i's keys, so the search sets ``hi[i]`` to
     ``min(m-1, max(hi[i-1], value[i-1]+1, top[i]+1))`` as it enters class
-    i.
+    i.  A class's conflict set is made when a failure first blames another
+    class.  ``value``, ``hi`` and ``mark`` are lists, as indexing one is
+    about three times as fast as indexing an ``array``.  A slot still takes
+    8 bytes: CPython shares the ints up to 256, and above that only a class
+    the search enters holds an int of its own.
 
     An instance is visited, in grounding order, each time the class it is
-    parked on takes a value.  It walks its steps, reading each step's cell
+    parked on takes a value.  A visit finds its plan from its rank and the
+    classes it read in ``reads``, and decodes its keyed universals' values
+    from the rank.  It walks its steps, reading each step's cell
     at the values its walk has so far; at a cell whose class has no value
     yet it parks on that class, and once every class it reads has a value
     it is checked, its loose universals looped inside the check.  A walk
@@ -589,94 +746,127 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
     """
     m = ctx.m
     charge = ctx.budget.charge
-    classes, top, first, checks = ground
-    count = len(checks)
+    _, (dense, cell, far), top, first, order, start, reads, bases, plans = ground
+    count = len(top)
     value = [-1] * count
-    # Walks parked again by this search, per class, as instances whose walk
-    # resumes where it stopped; ``trail`` lists the classes they were
-    # parked on, and ``mark[i]`` is its length when class i was entered.
-    parked: dict[int, list] = {}
-    trail: list[int] = []
+    # Walks parked again by this search, per class, by rank; ``trail`` lists
+    # them as ``(class, rank)``, and ``mark[i]`` is its length when class i
+    # was entered.
+    parked: dict[int, dict] = {}
+    trail: list[tuple[int, int]] = []
     mark = [0] * count
+    if far:
 
-    def visit(inst, i: int):
-        """None if ``inst`` holds or is parked again, else the classes it
-        read; classes up to ``i`` have values."""
-        rank, values, read, walk, check = inst
-        keyed_slots, ex_slots, loose, test = check
-        if walk is not None:
-            j, classed, steps, walked, spread = walk
-            classed = classed[:]
+        def klass(g: int) -> int:
+            return cell[g] if g < dense else far[g]
+
+    else:
+        klass = cell.__getitem__
+
+    def visit(rank: int, walks, i: int):
+        """None if the instance ``rank`` holds or is parked again, else the
+        classes it read; classes up to ``i`` have values.  ``walks`` maps
+        the ranks of the walks parked on class i to their ``(step, class
+        values, classes read)``."""
+        c = bisect_right(bases, rank) - 1
+        base, rbase, npicks, keyed, links, ex_slots, loose, test = plans[c]
+        if links is None:
+            # Read in place; the classes read are sliced out only on failure.
+            t = rank - base
+            k = rbase + t * npicks
+            read = None
+            for s, d in keyed:
+                env[s] = t // d % m
+            for s, q in ex_slots:
+                env[s] = value[reads[k + q]]
+        else:
+            digits, steps, walked, slot_classes = links
+            state = walks.get(rank) if walks else None
+            if state is None:
+                t = rank - base
+                k = rbase + t * npicks
+                j, classed, read = 0, [t // d % m for d in digits], reads[k : k + npicks]
+            else:
+                j, classed, read = state
+                classed = classed[:]
             while j < len(steps):
-                e, key, fixed = steps[j]
-                c = classes[e][tuple(map(classed.__getitem__, key))]
+                o, w, fixed = steps[j]
+                c = klass(o + sum(map(mul, classed, w)))
                 if c > i:
                     break
                 charge()
                 classed[fixed] = value[c]
                 j += 1
             else:
-                reached = read + [
-                    classes[e][tuple(map(classed.__getitem__, key))] for e, key in walked
-                ]
+                reached = [*read, *[klass(o + sum(map(mul, classed, w))) for o, w in walked]]
                 c = max(reached)
             if c > i:
-                walk = (j, classed, steps, walked, spread)
-                parked.setdefault(c, []).append((rank, None, read, walk, check))
-                trail.append(c)
+                parked.setdefault(c, {})[rank] = (j, classed, read)
+                trail.append((c, rank))
                 return None
             read = reached
-            values = map(classed.__getitem__, spread)
-        for s, v in zip(keyed_slots, values):
-            env[s] = v
-        for s, c in zip(ex_slots, read):
-            env[s] = value[c]
+            for s, c in slot_classes:
+                env[s] = classed[c]
+            for s, c in zip(ex_slots, read):
+                env[s] = value[c]
         if not loose:
-            return None if test(env) else read
-        for vals in _tuples(len(loose), m):
-            charge()
-            for s, v in zip(loose, vals):
-                env[s] = v
-            if not test(env):
-                return read
-        return None
+            if test(env):
+                return None
+        else:
+            for vals in _tuples(len(loose), m):
+                charge()
+                for s, v in zip(loose, vals):
+                    env[s] = v
+                if not test(env):
+                    break
+            else:
+                return None
+        return reads[k : k + npicks] if read is None else read
 
-    if any(visit(inst, -1) is not None for inst in first):
+    if any(visit(rank, None, -1) is not None for rank in first):
         return None
     hi = [m - 1] * count
     if count:
         hi[0] = min(m - 1, max((*map(env.__getitem__, outer), top[0])) + 1)
-    conflicts: list[set[int]] = [set() for _ in range(count)]
+    conflicts: dict[int, set[int]] = {}
     i = 0
     while i < count:
+        ranks = order[start[i] : start[i + 1]]
         while value[i] < hi[i]:
             value[i] += 1
             charge()
             while len(trail) > mark[i]:
-                parked[trail.pop()].pop()
+                c, rank = trail.pop()
+                del parked[c][rank]
             # Instances are visited in the order they were grounded.
-            queue = sorted(checks[i] + parked[i]) if parked.get(i) else checks[i]
-            for inst in queue:
-                failed = visit(inst, i)
+            walks = parked.get(i)
+            for rank in sorted(chain(ranks, walks)) if walks else ranks:
+                failed = visit(rank, walks, i)
                 if failed is not None:
                     break
             else:
                 break
-            conflicts[i].update(failed)
-            conflicts[i].discard(i)
+            blame = conflicts.get(i)
+            if blame is not None:
+                blame.update(failed)
+                blame.discard(i)
+            elif min(failed) < i:  # a failure that read only class i blames nothing else
+                blame = conflicts[i] = set(failed)
+                blame.discard(i)
         else:
             # Class i is out of values: jump back to the latest class to blame.
-            blame = conflicts[i]
+            blame = conflicts.pop(i, None)
             if not blame:
                 return None
             i = max(blame)
             blame.discard(i)
-            conflicts[i] |= blame
+            blame.update(conflicts.get(i, ()))
+            conflicts[i] = blame
             continue
         i += 1
         if i < count:
             value[i] = -1
-            conflicts[i].clear()
+            conflicts.pop(i, None)
             mark[i] = len(trail)
             hi[i] = hi[i - 1]
             if hi[i] < m - 1:  # once a bound reaches m - 1, so do all later ones
@@ -922,13 +1112,14 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
         # Nothing runs after the spine's final branch search succeeds, and a
         # nested branch finishes before the branch around it.  Unread cells
         # get 0 at one node each: every table is total, its size budgeted.
-        (classes, *_), values = solved
+        (off, (dense, cell, far), *_), values = solved
         prefix = node.prefix
         for e, (v, deps) in enumerate(zip(prefix.existentials, prefix.deps)):
-            tab = classes.get(e, {})
             table = tables[v.name] = {}
-            for key in _tuples(len(deps), size):
-                if key not in tab:
+            for n, key in enumerate(_tuples(len(deps), size)):
+                g = off[e] + n if e in off else -1
+                k = cell[g] if 0 <= g < dense else far.get(g, -1)
+                if k < 0:
                     budget.charge()
-                table[key] = values[tab[key]] if key in tab else 0
+                table[key] = values[k] if k >= 0 else 0
     return tables

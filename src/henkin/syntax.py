@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "MAX_DEPTH",
@@ -89,7 +89,7 @@ class Variable:
         return self.name
 
 
-VarLike = Union[Variable, str]
+VarLike = Variable | str
 
 
 def as_variable(v: VarLike) -> Variable:

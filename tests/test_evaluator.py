@@ -1,6 +1,7 @@
 import copy
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -968,3 +969,58 @@ class TestCompileOnce:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * len(results)
+
+
+def _traced_peak(f, m, budget) -> tuple[object, int]:
+    """``evaluate(f, m)``'s verdict, or the ``BudgetExceeded`` it raised,
+    and the peak of the memory ``tracemalloc`` saw it allocate."""
+    evaluate(P("true"), 1)  # so that no compile of ``f`` is cached
+    tracemalloc.start()
+    try:
+        try:
+            verdict = evaluate(f, m, budget=budget)
+        except BudgetExceeded as exc:
+            verdict = exc
+        return verdict, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGroundMemory:
+    """A ground is flat arrays, so its memory follows the tuples it grounds."""
+
+    def test_dense_ground_bytes_per_tuple(self):
+        # 10,000 tuples grounded, one class each; the budget runs out soon
+        # after the search starts.  About 65 bytes per tuple, in arrays of
+        # 8-byte slots: a Python object per instance would take over 700.
+        verdict, peak = _traced_peak(
+            P("H{ forall x z ; y(x z) } . y = x"), 100, Budget(12_000)
+        )
+        assert isinstance(verdict, BudgetExceeded)
+        assert peak / 100**2 < 120
+
+    def test_sparse_key_space_is_not_allocated(self):
+        # The guards admit 100 of y's 10**6 keys: one array slot per key
+        # would take 8 MB.
+        budget = Budget()
+        verdict, peak = _traced_peak(
+            P("H{ forall x1 x2 x3 ; y(x1 x2 x3) } . (x1 = x2 & x2 = x3 -> y = x1)"), 100, budget
+        )
+        assert verdict is True
+        assert budget.spent == 5_150
+        assert peak < 1_000_000
+
+
+    @pytest.mark.parametrize("name, f", _REUSE_CASES, ids=[name for name, _ in _REUSE_CASES])
+    def test_layout_changes_no_result(self, monkeypatch, name, f):
+        # With _DENSE = 0 every table keeps its cells in the dict, keyed by id.
+        def results():
+            out = []
+            for m in (1, 2, 3):
+                budget = Budget()
+                out.append((_run(f, m), witness_tables(f, m, budget=budget), budget.spent))
+            return out
+
+        arrays = results()
+        monkeypatch.setattr(evaluator, "_DENSE", 0)
+        assert results() == arrays

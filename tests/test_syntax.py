@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -272,3 +277,40 @@ class TestValidate:
             "duplicate existential 'y'",
             "'exists' block binds 'z' twice",
         ]
+
+
+# Imports ``henkin`` afresh six times, dropping every ``henkin.*`` module
+# first, and prints how many ``henkin.syntax.Variable`` classes are alive
+# after the first import and after the last, each after a full collection.
+_REIMPORT = """
+import gc, importlib, sys
+
+def live():
+    gc.collect()
+    return sum(
+        isinstance(o, type) and o.__module__ == "henkin.syntax" and o.__name__ == "Variable"
+        for o in gc.get_objects()
+    )
+
+counts = []
+for _ in range(7):
+    for name in [n for n in sys.modules if n == "henkin" or n.startswith("henkin.")]:
+        del sys.modules[name]
+    importlib.import_module("henkin")
+    counts.append(live())
+print(counts[0], counts[-1])
+"""
+
+
+def test_reimport_leaves_no_module_alive():
+    # A process-wide cache that kept an object the package makes at import,
+    # such as ``typing``'s cache of the ``Union`` objects it builds, would
+    # keep every replaced ``henkin.syntax`` module alive with it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _REIMPORT], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    first, last = map(int, out)
+    assert first >= 1
+    assert last == first
