@@ -178,7 +178,7 @@ from .syntax import (
     Not,
     Or,
     Variable,
-    free_variables,
+    free_names,
     validate,
 )
 
@@ -235,7 +235,7 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
         body = _compile(node.body, scope, ctx)
         return lambda env: not body(env)
     if isinstance(node, (And, Or)):
-        parts = tuple(_compile(g, scope, ctx) for g in node.items)
+        parts = tuple([_compile(g, scope, ctx) for g in node.items])
         if isinstance(node, And):
 
             def run_and(env, _parts=parts):
@@ -352,7 +352,8 @@ def _guards(f: Formula) -> set[frozenset[str]]:
             for g in _conjuncts(f.antecedent)
             if isinstance(g, EqualAtom)
         }
-        return eqs | _guards(f.consequent)
+        eqs |= _guards(f.consequent)
+        return eqs
     if isinstance(f, Or):
         return set().union(*map(_guards, f.items))
     if isinstance(f, And):
@@ -360,55 +361,59 @@ def _guards(f: Formula) -> set[frozenset[str]]:
     return set()
 
 
-def _equates(part: Formula, exis, keyed) -> bool:
-    """Whether ``part`` is ``A -> e1 = e2`` for names ``e1``, ``e2`` in
-    ``exis`` and ``A``'s top-level conjuncts equalities of names in
-    ``keyed``: guards, so ``A`` holds on every admitted tuple.  Such a
-    conjunct mentions no other name, so it has no loose universals."""
-    if not (isinstance(part, Implies) and isinstance(part.consequent, EqualAtom)):
+def _equates(part: Implies, ante: list[Formula], exis, keyed) -> bool:
+    """Whether ``part``, with ``ante`` its antecedent's top-level
+    conjuncts, is ``A -> e1 = e2`` for names ``e1``, ``e2`` in ``exis`` and
+    ``A``'s top-level conjuncts equalities of names in ``keyed``: guards,
+    so ``A`` holds on every admitted tuple.  Such a conjunct mentions no
+    other name, so it has no loose universals."""
+    if not isinstance(part.consequent, EqualAtom):
         return False
     ends = {part.consequent.left.name, part.consequent.right.name}
     return ends <= exis and all(
-        isinstance(g, EqualAtom) and {g.left.name, g.right.name} <= keyed
-        for g in _conjuncts(part.antecedent)
+        isinstance(g, EqualAtom) and {g.left.name, g.right.name} <= keyed for g in ante
     )
 
 
-def _walk(part: Implies, classes: dict[str, int], picks: dict, width: int):
-    """The chain links of ``part`` as walk steps, and its start classes.
+def _walk(ante: list[Formula], classes: dict[str, int], picks: dict, width: int):
+    """The chain links among ``ante``, a conjunct's antecedent's top-level
+    conjuncts, as walk steps, and the conjunct's start classes.
 
     ``classes`` maps each keyed universal to its class, one of ``width``,
-    and ``picks`` each existential ``part`` mentions to its index and its
-    key's classes.  A top-level conjunct ``u = e`` of ``part``'s
-    antecedent, with ``u`` keyed and ``e`` an existential, is a link, taken
-    as written, unless a link taken before fixes ``u``'s class or ``e``'s
-    key reaches that class, directly or through the links taken before.
-    Returns the steps ``(e's index, key classes, fixed class)``, ordered so
-    that every key class is a start class or fixed by an earlier step, and
-    the start classes: those no link fixes.
+    and ``picks`` each existential the conjunct mentions to its index and
+    its key's classes.  A conjunct ``u = e`` in ``ante``, with ``u`` keyed
+    and ``e`` an existential, is a link, taken as written, unless a link
+    taken before fixes ``u``'s class or ``e``'s key reaches that class,
+    directly or through the links taken before.  Returns the steps ``(e's
+    index, key classes, fixed class)``, ordered so that every key class is
+    a start class or fixed by an earlier step, and the start classes:
+    those no link fixes.
     """
     fixed: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for g in _conjuncts(part.antecedent):
+    for g in ante:
         if not isinstance(g, EqualAtom):
             continue
         for u, e in ((g.left.name, g.right.name), (g.right.name, g.left.name)):
-            if u in classes and e in picks and classes[u] not in fixed:
-                reached, todo = set(), list(picks[e][1])
-                while todo:
-                    c = todo.pop()
-                    if c not in reached:
-                        reached.add(c)
-                        todo.extend(fixed[c][1] if c in fixed else ())
-                if classes[u] not in reached:
-                    fixed[classes[u]] = picks[e]
-    starts = tuple(c for c in range(width) if c not in fixed)
+            c = classes.get(u)
+            if c is None or c in fixed or e not in picks:
+                continue
+            reached, todo = set(), list(picks[e][1])
+            while todo:
+                k = todo.pop()
+                if k not in reached:
+                    reached.add(k)
+                    if k in fixed:
+                        todo += fixed[k][1]
+            if c not in reached:
+                fixed[c] = picks[e]
+    starts = tuple([c for c in range(width) if c not in fixed])
     known, steps = set(starts), []
     while len(steps) < len(fixed):
-        c, (e, key) = next(
-            (c, link) for c, link in fixed.items() if c not in known and known.issuperset(link[1])
-        )
-        steps.append((e, key, c))
-        known.add(c)
+        for c, (e, key) in fixed.items():
+            if c not in known and known.issuperset(key):
+                steps.append((e, key, c))
+                known.add(c)
+                break
     return tuple(steps), starts
 
 
@@ -437,41 +442,44 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
     inner = dict(scope)
     for v in prefix.bound():
         inner[v.name] = ctx.alloc()
-    uni_index = {v.name: j for j, v in enumerate(prefix.universals)}
+    uni = tuple(v.name for v in prefix.universals)
+    uni_index = {n: j for j, n in enumerate(uni)}
     deps = tuple(tuple(uni_index[d.name] for d in ds) for ds in prefix.deps)
-    exis = {e.name for e in prefix.existentials}
+    exnames = tuple(e.name for e in prefix.existentials)
+    exis = {n: i for i, n in enumerate(exnames)}
     conjuncts = []
     for part in _conjuncts(node.body):
-        names = {v.name for v in free_variables(part)}
-        exs = [i for i, e in enumerate(prefix.existentials) if e.name in names]
+        names = free_names(part)
+        exs = sorted([exis[n] for n in names if n in exis])
         keyed = sorted({j for i in exs for j in deps[i]})
-        loose = tuple(inner[n] for n, j in uni_index.items() if n in names and j not in keyed)
-        # Each keyed position's class, labelled by the class's first position.
-        pos = {prefix.universals[j].name: p for p, j in enumerate(keyed)}
+        loose = sorted([j for j in map(uni_index.get, names) if j is not None and j not in keyed])
+        # Each keyed universal's class, labelled by the class's first position.
+        pos = {uni[j]: p for p, j in enumerate(keyed)}
         first = list(range(len(keyed)))
         for guard in _guards(part):
             # A guard ``a != a`` names one variable and admits everything.
             if len(guard) == 2 and guard <= pos.keys():
-                a, b = sorted(first[pos[name]] for name in guard)
+                a, b = sorted([first[pos[name]] for name in guard])
                 first = [a if c == b else c for c in first]
-        spread = tuple(map(sorted(set(first)).index, first))
-        width = max(spread, default=-1) + 1
-        class_of = dict(zip(keyed, spread))
-        picks = {
-            prefix.existentials[i].name: (i, tuple(map(class_of.__getitem__, deps[i]))) for i in exs
-        }
-        merged = _equates(part, exis, pos.keys())
+        labels = sorted(set(first))
+        spread = tuple(map(labels.index, first))
+        width = len(labels)
+        classes = {n: spread[p] for n, p in pos.items()}
+        picks = {exnames[i]: (i, tuple([classes[uni[j]] for j in deps[i]])) for i in exs}
+        ante = _conjuncts(part.antecedent) if isinstance(part, Implies) else None
+        merged = ante is not None and _equates(part, ante, exis.keys(), pos.keys())
         steps, starts = (), tuple(range(width))
-        if not merged and isinstance(part, Implies):
-            steps, starts = _walk(part, {n: spread[p] for n, p in pos.items()}, picks, width)
+        if ante is not None and not merged:
+            steps, starts = _walk(ante, classes, picks, width)
         static, walked = [], []
         for pick in picks.values():
             (static if set(pick[1]).issubset(starts) else walked).append(pick)
         check = None
         if not merged:
-            keyed_slots = tuple(inner[prefix.universals[j].name] for j in keyed)
-            ex_slots = tuple(inner[prefix.existentials[i].name] for i, _ in static + walked)
-            check = (keyed_slots, ex_slots, loose, _compile(part, inner, ctx))
+            keyed_slots = tuple([inner[uni[j]] for j in keyed])
+            ex_slots = tuple([inner[exnames[i]] for i, _ in static + walked])
+            loose_slots = tuple([inner[uni[j]] for j in loose])
+            check = (keyed_slots, ex_slots, loose_slots, _compile(part, inner, ctx))
         conjuncts.append(((len(exs), len(keyed)), (starts, static, walked, steps, spread, check)))
     conjuncts.sort(key=lambda c: c[0])
     return tuple(scope.values()), [record for _, record in conjuncts]
@@ -970,7 +978,7 @@ def _naive_branch(f: Branch, env: dict[str, int], m: int, budget: Budget) -> boo
             return False
 
 
-def _prepare(f: Formula, size: int, env, free=None) -> tuple[dict[str, int], set[str]]:
+def _prepare(f: Formula, size: int, env, free=None) -> tuple[dict[str, int], frozenset[str]]:
     """Check ``size``, ``f``, ``env``'s values and that ``env`` binds every
     free variable of ``f``, in that order, and return ``env``'s values by
     name and ``f``'s free names.  Given those names, ``f`` is known to be
@@ -981,7 +989,7 @@ def _prepare(f: Formula, size: int, env, free=None) -> tuple[dict[str, int], set
         problems = validate(f)
         if problems:
             raise ValueError("invalid formula: " + "; ".join(problems))
-        free = {v.name for v in free_variables(f)}
+        free = free_names(f)
     bound: dict[str, int] = {}
     for key, val in (env or {}).items():
         name = key.name if isinstance(key, Variable) else key
@@ -1056,7 +1064,7 @@ def table_failures(prefix: HenkinPrefix, clauses, tables, size: int, env=None) -
     failures = []
     for label, clause in clauses:
         bound, _ = _prepare(Branch(prefix, clause), size, env)
-        names = {v.name for v in free_variables(clause)}
+        names = free_names(clause)
         exis = [(e, ds) for e, ds in deps.items() if e in names]
         needed = names.union(*(ds for _, ds in exis))
         uni = [v.name for v in prefix.universals if v.name in needed]

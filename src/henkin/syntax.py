@@ -51,6 +51,7 @@ __all__ = [
     "equal",
     "not_equal",
     "conjoin",
+    "free_names",
     "free_variables",
     "formula_depth",
     "validate",
@@ -60,8 +61,8 @@ NAME_PATTERN = r"[A-Za-z][A-Za-z0-9_']*"
 RESERVED_WORDS = frozenset({"forall", "exists", "true", "false"})
 _NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
-# The walks over a formula recurse per level: the parser six Python frames
-# per parenthesis (four of ``binary``, then ``unary`` and ``atom``), the
+# The walks over a formula recurse per level: the parser at most three
+# Python frames (a parenthesis takes ``binary``, ``unary`` and ``atom``), the
 # printer and the compiled engine at most three per node, the reference
 # engine a few more per bound variable.  Refusing formulas deeper than this
 # keeps them under the default recursion limit of 1000, with room for the
@@ -335,26 +336,39 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def free_variables(f: Formula) -> frozenset[Variable]:
-    """The variables of ``f``'s atoms that no binder above them binds,
-    found with an explicit stack, so any depth of tree is fine."""
-    out: set[Variable] = set()
-    todo = [(f, frozenset())]
-    while todo:
-        node, bound = todo.pop()
-        if isinstance(node, EqualAtom):
-            if node.left not in bound:
-                out.add(node.left)
-            if node.right not in bound:
-                out.add(node.right)
-            continue
-        if isinstance(node, (ForAll, Exists)):
-            bound = bound.union(node.variables)
-        elif isinstance(node, Branch):
-            bound = bound.union(node.prefix.bound())
-        for g in _children(node):
-            todo.append((g, bound))
+def free_names(f: Formula) -> frozenset[str]:
+    """The names of ``f``'s atoms that no binder above them binds, found
+    without recursion, so any depth of tree is fine.  Each scope, the
+    nodes below the same binders, collects its atoms' names and keeps
+    those its binders leave free; the commonest nodes are tested first."""
+    out: set[str] = set()
+    scopes = [(f, frozenset())]
+    while scopes:
+        node, bound = scopes.pop()
+        names: set[str] = set()
+        todo = [node]
+        while todo:
+            g = todo.pop()
+            if isinstance(g, EqualAtom):
+                names.add(g.left.name)
+                names.add(g.right.name)
+            elif isinstance(g, (And, Or)):
+                todo += g.items
+            elif isinstance(g, Implies):
+                todo += (g.antecedent, g.consequent)
+            elif isinstance(g, (ForAll, Exists)):
+                scopes.append((g.body, bound.union([v.name for v in g.variables])))
+            elif isinstance(g, Branch):
+                scopes.append((g.body, bound.union([v.name for v in g.prefix.bound()])))
+            else:
+                todo += _children(g)
+        out.update(names.difference(bound))
     return frozenset(out)
+
+
+def free_variables(f: Formula) -> frozenset[Variable]:
+    """The variables of ``f``'s atoms that no binder above them binds."""
+    return frozenset(map(Variable, free_names(f)))
 
 
 def formula_depth(f: Formula) -> int:
@@ -380,12 +394,15 @@ def validate(f: Formula) -> list[str]:
     two operands, and any prefix whose structure fails
     ``prefix_diagnostics``.  Shadowing an *outer* binder is legal.
     """
-    if formula_depth(f) > MAX_DEPTH:
-        return [TOO_DEEP]
     out: list[str] = []
+    # The nodes other than atoms: the depth is at most their number.
+    inner = 0
     todo = [f]
     while todo:
         node = todo.pop()
+        if isinstance(node, EqualAtom):
+            continue
+        inner += 1
         if isinstance(node, (And, Or)) and len(node.items) < 2:
             kind = "conjunction" if isinstance(node, And) else "disjunction"
             out.append(f"n-ary {kind} with {len(node.items)} operands")
@@ -405,4 +422,6 @@ def validate(f: Formula) -> list[str]:
             if not node.prefix.existentials:
                 out.append("branched prefix binds no existentials")
         todo.extend(reversed(_children(node)))
+    if inner > MAX_DEPTH and formula_depth(f) > MAX_DEPTH:
+        return [TOO_DEEP]
     return out

@@ -18,7 +18,8 @@ Quantifier bodies extend as far right as possible.  ``v != w`` abbreviates
 ``~ v = w`` and the printer always prefers the abbreviation.  ``#`` starts
 a comment running to end of line.  Names and the reserved words (``forall``,
 ``exists``, ``true``, ``false``) are ``syntax``'s; ``H`` is special only
-when a ``{`` follows.  Input must be ASCII.
+when a ``{`` follows.  Input must be ASCII.  The lexer keeps only the
+tokens' texts; an error works out its line and column from the source.
 
 Nesting is bounded by ``syntax.MAX_DEPTH``, counted as
 ``syntax.formula_depth`` counts it: every node of the tree but atoms and
@@ -41,8 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
-from typing import NamedTuple
+from itertools import islice
 
 from .syntax import (
     And,
@@ -99,158 +99,153 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class _Token(NamedTuple):
-    kind: str  # "name", "eof", or the symbol text itself
-    text: str
-    line: int
-    column: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column)
-
-
-# Blanks and comments, then one newline, symbol or name.  A match that
-# takes none of the three before the end of input stops at a bad character.
+# Blanks and comments, then one symbol or name (group 1), or one bad
+# character (group 2), or the end of input (neither group).
 _TOKEN = re.compile(
-    r"(?:[ \t\r]+|#[^\n]*)*"
-    rf"(?:(?P<newline>\n)|(?P<symbol><->|->|!=|[(){{}};,.=&|~])|(?P<name>{NAME_PATTERN}))?"
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    rf"(?:(<->|->|!=|[(){{}};,.=&|~]|{NAME_PATTERN})|(.))?",
+    re.S,
 )
 
-
-def _lex(source: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, line_start, i = 1, 0, 0
-    while True:
-        match = _TOKEN.match(source, i)
-        i = match.end()
-        kind = match.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, i
-        elif kind is not None:
-            text = match[kind]
-            column = match.start(kind) - line_start + 1
-            toks.append(_Token(text if kind == "symbol" else kind, text, line, column))
-        elif i < len(source):
-            ch = source[i]
-            what = "non-ASCII" if ord(ch) > 127 else "unexpected"
-            raise ParseError(f"{what} character {ch!r}", SourceSpan(line, i - line_start + 1))
-        else:
-            toks.append(_Token("eof", "", line, i - line_start + 1))
-            return toks
+# The binary connectives, loosest first: level and node.
+_BINARY = {"<->": (0, Iff), "->": (1, Implies), "|": (2, Or), "&": (3, And)}
 
 
-_BINARY = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
+def _is_name(t: str) -> bool:
+    """Whether token text ``t`` is a name; the others are symbols and the
+    empty end of input."""
+    return t[:1].isalpha()
 
 
 class _Parser:
-    def __init__(self, toks: list[_Token]):
+    """A recursive-descent parser over ``source``'s tokens, their texts in
+    ``toks``, ending in at least one ``""`` for the end of input, which
+    the parser never steps past.  Only an error needs a token's place:
+    ``span`` finds it by lexing again.  Each name read as a variable is one
+    ``Variable`` per parse, kept in ``names``; a reserved word never is."""
+
+    def __init__(self, source: str):
+        self.source = source
+        toks, bad = zip(*_TOKEN.findall(source))
+        if any(bad):
+            k = next(k for k, ch in enumerate(bad) if ch)
+            what = "non-ASCII" if ord(bad[k]) > 127 else "unexpected"
+            raise ParseError(f"{what} character {bad[k]!r}", self.span(k))
         self.toks = toks
         self.i = 0
         self.depth = 0
+        self.names: dict[str, Variable] = {}
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def span(self, k: int) -> SourceSpan:
+        """The line and column of token ``k``."""
+        match = next(islice(_TOKEN.finditer(self.source), k, None))
+        at = match.start(match.lastindex) if match.lastindex else match.end()
+        return SourceSpan(self.source.count("\n", 0, at) + 1, at - self.source.rfind("\n", 0, at))
 
-    def advance(self) -> _Token:
+    def fail(self, message: str, k: int | None = None) -> ParseError:
+        return ParseError(message, self.span(self.i if k is None else k))
+
+    def found(self) -> str:
         t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+        return f"'{t}'" if t else "end of input"
 
-    @staticmethod
-    def describe(t: _Token) -> str:
-        if t.kind == "eof":
-            return "end of input"
-        return f"'{t.text}'"
-
-    def deeper(self, t: _Token, left: Formula = TRUE) -> None:
-        """Open one nesting level at ``t``; the caller closes it.  ``left``
-        is an operand parsed before ``t`` that the level encloses too."""
-        if self.depth + 1 + formula_depth(left) > MAX_DEPTH:
-            raise ParseError(TOO_DEEP, t.span)
+    def open(self, left: Formula | None = None, start: int = 0) -> None:
+        """Open one nesting level at the current token and step past it;
+        the caller closes it.  ``left``, parsed from token ``start`` on,
+        is an operand before the token that the level encloses too.  Its
+        depth is at most its token count, so it is walked only near the
+        limit."""
+        depth = self.depth + 1
+        if left is not None and depth + self.i - start > MAX_DEPTH:
+            depth += formula_depth(left)
+        if depth > MAX_DEPTH:
+            raise self.fail(TOO_DEEP)
         self.depth += 1
+        self.i += 1
 
-    def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected '{kind}', found {self.describe(t)}", t.span)
-        return self.advance()
+    def expect(self, t: str) -> None:
+        if self.toks[self.i] != t:
+            raise self.fail(f"expected '{t}', found {self.found()}")
+        self.i += 1
 
     def variable(self, role: str = "variable") -> Variable:
-        t = self.peek()
-        if t.kind != "name":
-            raise ParseError(f"expected {role} name, found {self.describe(t)}", t.span)
-        if t.text in RESERVED_WORDS:
-            article = "an" if role[0] in "aeiou" else "a"
-            raise ParseError(f"'{t.text}' is reserved and cannot name {article} {role}", t.span)
-        self.advance()
-        return Variable(t.text)
+        t = self.toks[self.i]
+        v = self.names.get(t)
+        if v is None:
+            if not _is_name(t):
+                raise self.fail(f"expected {role} name, found {self.found()}")
+            if t in RESERVED_WORDS:
+                article = "an" if role[0] in "aeiou" else "a"
+                raise self.fail(f"'{t}' is reserved and cannot name {article} {role}")
+            v = self.names[t] = Variable(t)
+        self.i += 1
+        return v
+
+    def at_name(self) -> bool:
+        """Whether the current token is a name that is not a reserved word."""
+        t = self.toks[self.i]
+        return t in self.names or (_is_name(t) and t not in RESERVED_WORDS)
 
     def binder_list(self, what: str) -> tuple[Variable, ...]:
-        out: list[Variable] = []
-        seen: set[str] = set()
-        while self.peek().kind == "name" and self.peek().text not in RESERVED_WORDS:
-            t = self.peek()
+        out: dict[str, Variable] = {}
+        while self.at_name():
             v = self.variable("bound variable")
-            if v.name in seen:
-                raise ParseError(f"'{v.name}' bound twice in the same '{what}' block", t.span)
-            seen.add(v.name)
-            out.append(v)
+            if v.name in out:
+                raise self.fail(f"'{v.name}' bound twice in the same '{what}' block", self.i - 1)
+            out[v.name] = v
         if not out:
-            t = self.peek()
-            raise ParseError(f"'{what}' needs at least one variable, found {self.describe(t)}", t.span)
-        return tuple(out)
+            raise self.fail(f"'{what}' needs at least one variable, found {self.found()}")
+        return tuple(out.values())
 
-    def binary(self, level: int = 0) -> Formula:
-        """The connectives from ``_BINARY[level]`` on, loosest first: the
-        arrows nest to the right, ``|`` and ``&`` take any number of
-        operands, and the operands of ``&`` are unary formulas."""
-        op, node = _BINARY[level]
-        operand = self.unary if node is And else partial(self.binary, level + 1)
-        left = operand()
-        if self.peek().kind != op:
-            return left
-        self.deeper(self.advance(), left)
-        if node in (Iff, Implies):
-            f = node(left, self.binary(level))
-        else:
-            items = [left, operand()]
-            while self.peek().kind == op:
-                self.advance()
-                items.append(operand())
-            f = node(tuple(items))
-        self.depth -= 1
-        return f
+    def binary(self, floor: int = 0) -> Formula:
+        """A formula of the connectives from level ``floor`` of ``_BINARY``
+        on, by precedence climbing: the arrows nest to the right, ``|``
+        and ``&`` take any number of operands, and the operands of ``&``
+        are unary formulas."""
+        toks = self.toks
+        start = self.i
+        left = self.unary()
+        while True:
+            op = toks[self.i]
+            level, node = _BINARY.get(op, (-1, None))
+            if level < floor:
+                return left
+            self.open(left, start)
+            if level < 2:
+                left = node(left, self.binary(level))
+            else:
+                items = [left, self.unary() if level == 3 else self.binary(3)]
+                while toks[self.i] == op:
+                    self.i += 1
+                    items.append(self.unary() if level == 3 else self.binary(3))
+                left = node(tuple(items))
+            self.depth -= 1
 
     def unary(self) -> Formula:
-        t = self.peek()
-        if t.kind == "~":
-            self.deeper(self.advance())
+        t = self.toks[self.i]
+        if t == "~":
+            self.open()
             body = self.unary()
             self.depth -= 1
             return Not(body)
-        if t.kind == "name" and t.text in ("forall", "exists"):
-            self.deeper(self.advance())
-            vs = self.binder_list(t.text)
+        if t == "forall" or t == "exists":
+            self.open()
+            vs = self.binder_list(t)
             self.expect(".")
             body = self.binary()
             self.depth -= 1
-            return ForAll(vs, body) if t.text == "forall" else Exists(vs, body)
-        if t.kind == "name" and t.text == "H" and self.peek(1).kind == "{":
+            return ForAll(vs, body) if t == "forall" else Exists(vs, body)
+        if t == "H" and self.toks[self.i + 1] == "{":
             return self.branch()
         return self.atom()
 
     def branch(self) -> Formula:
-        opener = self.advance()  # the 'H'
-        self.deeper(opener)
+        opener = self.i  # the 'H'
+        self.open()
         self.expect("{")
-        kw = self.peek()
-        if not (kw.kind == "name" and kw.text == "forall"):
-            raise ParseError(
-                f"branched prefix must start with 'forall', found {self.describe(kw)}", kw.span
-            )
-        self.advance()
+        if self.toks[self.i] != "forall":
+            raise self.fail(f"branched prefix must start with 'forall', found {self.found()}")
+        self.i += 1
         universals = self.binder_list("forall")
         self.expect(";")
         rows: list[tuple[Variable, tuple[Variable, ...]]] = []
@@ -258,57 +253,54 @@ class _Parser:
             e = self.variable("existential")
             self.expect("(")
             ds: list[Variable] = []
-            while self.peek().kind == "name" and self.peek().text not in RESERVED_WORDS:
+            while self.at_name():
                 ds.append(self.variable("dependency"))
             self.expect(")")
             rows.append((e, tuple(ds)))
-            if self.peek().kind != ",":
+            if self.toks[self.i] != ",":
                 break
-            self.advance()
+            self.i += 1
         self.expect("}")
         existentials, deps = zip(*rows)
         prefix = HenkinPrefix(universals, existentials, deps)
         problems = "; ".join(prefix_diagnostics(prefix))
         if problems:
-            raise ParseError("bad branched prefix: " + problems, opener.span)
+            raise self.fail("bad branched prefix: " + problems, opener)
         self.expect(".")
         body = self.binary()
         self.depth -= 1
         return Branch(prefix, body)
 
     def atom(self) -> Formula:
-        t = self.peek()
-        if t.kind == "(":
-            self.deeper(self.advance())
+        t = self.toks[self.i]
+        if t == "(":
+            self.open()
             f = self.binary()
             self.expect(")")
             self.depth -= 1
             return f
-        if t.kind == "name":
-            if t.text in ("true", "false"):
-                self.advance()
-                return TRUE if t.text == "true" else FALSE
-            left = self.variable()
-            op = self.peek()
-            if op.kind == "=":
-                self.advance()
-                return EqualAtom(left, self.variable())
-            if op.kind == "!=":
-                self.deeper(self.advance())
-                self.depth -= 1
-                return Not(EqualAtom(left, self.variable()))
-            raise ParseError(
-                f"expected '=' or '!=' after '{left.name}', found {self.describe(op)}", op.span
-            )
-        raise ParseError(f"expected a formula, found {self.describe(t)}", t.span)
+        if t == "true" or t == "false":
+            self.i += 1
+            return TRUE if t == "true" else FALSE
+        if t not in self.names and not _is_name(t):
+            raise self.fail(f"expected a formula, found {self.found()}")
+        left = self.variable()
+        op = self.toks[self.i]
+        if op == "=":
+            self.i += 1
+            return EqualAtom(left, self.variable())
+        if op == "!=":
+            self.open()
+            self.depth -= 1
+            return Not(EqualAtom(left, self.variable()))
+        raise self.fail(f"expected '=' or '!=' after '{left.name}', found {self.found()}")
 
 
 def parse_formula(source: str) -> Formula:
-    parser = _Parser(_lex(source))
+    parser = _Parser(source)
     f = parser.binary()
-    t = parser.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected input after formula: {parser.describe(t)}", t.span)
+    if parser.toks[parser.i]:
+        raise parser.fail(f"unexpected input after formula: {parser.found()}")
     return f
 
 

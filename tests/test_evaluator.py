@@ -134,6 +134,23 @@ class TestEnvironment:
         with pytest.raises(ValueError, match="unbound free variables: y"):
             evaluate(P("x = y"), 3, env={"x": 1})
 
+    # A name a binder shadows somewhere is still free where an atom reads it
+    # outside that binder; both engines ask the env for exactly those names.
+    @pytest.mark.parametrize(
+        "text, free",
+        [
+            ("forall x . x = y & exists y . y = x", "y"),
+            ("x = y & H{ forall x ; y(x) } . y = x", "x, y"),
+            ("H{ forall x ; y(x) } . y = x & forall y . y = z", "z"),
+        ],
+    )
+    def test_shadowed_names_stay_free_outside(self, text, free):
+        for engine in (evaluate, evaluate_naive):
+            with pytest.raises(ValueError, match=f"^unbound free variables: {free}$"):
+                engine(P(text), 2)
+        env = dict.fromkeys(free.split(", "), 0)
+        assert evaluate(P(text), 2, env=env) is evaluate_naive(P(text), 2, env=env)
+
     def test_env_range_checked(self):
         with pytest.raises(ValueError, match="must be an integer in"):
             evaluate(P("x = x"), 2, env={"x": 2})
@@ -360,6 +377,19 @@ class TestTableFailures:
         assert evaluator.table_failures(prefix, clauses, tables, 3) == []
         tables[cell][(0,)] = (tables[cell][(0,)] + 1) % 3
         assert evaluator.table_failures(prefix, clauses, tables, 3) == readers
+
+    # ``z`` keys no cell of ``y``, so each clause is checked on every (x, z);
+    # the last clause binds its own ``z`` and reads none of the prefix's.
+    def test_a_loose_universal_is_checked_on_every_value(self):
+        prefix = mk_prefix(["x", "z"], ["y"], {"y": ["x"]})
+        clauses = [
+            ("loose", equal("y", "z")),
+            ("guarded", Implies(equal("x", "z"), equal("y", "z"))),
+            ("shadowed", Exists(("z",), equal("y", "z"))),
+        ]
+        identity = {"y": {(0,): 0, (1,): 1}}
+        assert evaluator.table_failures(prefix, clauses, identity, 2) == ["loose"]
+        assert evaluator.table_failures(prefix, clauses, {"y": {(0,): 0}}, 1) == []
 
     def test_a_name_outside_the_prefix_is_a_value_error(self):
         tables = {"y_a": {(0,): 0}}

@@ -29,9 +29,10 @@ from henkin import (
     free_variables,
     mk_prefix,
     not_equal,
+    parse_formula,
     validate,
 )
-from henkin.syntax import prefix_diagnostics
+from henkin.syntax import free_names, prefix_diagnostics
 
 
 class TestVariable:
@@ -209,6 +210,23 @@ class TestFreeVariables:
         for _ in range(2000):
             f = Not(f)
         assert free_variables(f) == {Variable("a"), Variable("b")}
+
+    # Shadowing: a name is free where some atom reads it outside every
+    # binder of that name, whatever binds it elsewhere.
+    @pytest.mark.parametrize(
+        "text, free",
+        [
+            ("forall x . x = y & exists y . y = x", {"y"}),
+            ("x = y & H{ forall x ; y(x) } . y = x", {"x", "y"}),
+            ("H{ forall x ; y(x) } . y = x & forall y . y = z", {"z"}),
+            ("exists t . H{ forall x ; y(x) } . t = y & exists x . x = t", set()),
+            ("(forall x . x = x) & x = x", {"x"}),
+        ],
+    )
+    def test_shadowing(self, text, free):
+        f = parse_formula(text)
+        assert free_names(f) == free
+        assert free_variables(f) == {Variable(n) for n in free}
 
     def test_deep_block_nest(self):
         # Level i binds x{i} and reads x{i+1}, which only a deeper block

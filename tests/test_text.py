@@ -111,37 +111,62 @@ class TestParsing:
         f = rt("H = x")
         assert f == equal("H", "x")
 
+    def test_one_variable_per_name(self):
+        f = parse_formula("forall x . x = y & H{ forall z w ; y(z w) } . y = x & w != z")
+        x = f.variables[0]
+        first, branch = f.body.items
+        prefix, (eq, ne) = branch.prefix, branch.body.items
+        assert first.left is x is eq.right
+        assert first.right is prefix.existentials[0] is eq.left
+        assert prefix.universals[0] is prefix.deps[0][0] is ne.body.right
+        assert prefix.universals[1] is prefix.deps[0][1] is ne.body.left
+
+    def test_parses_share_no_variables(self):
+        assert parse_formula("x = x").left is not parse_formula("x = x").left
+
     def test_comments_and_whitespace(self):
         f = rt("forall x .  # the body follows\n   x = x")
         assert f == ForAll(("x",), equal("x", "x"))
 
 
+# Parse errors: the input, a fragment of the message that names the case,
+# and the whole message with its line and column.
+PARSE_ERRORS = [
+    ("", "expected a formula", "1:1: expected a formula, found end of input"),
+    ("x =", "expected variable name", "1:4: expected variable name, found end of input"),
+    ("x", "expected '=' or '!='", "1:2: expected '=' or '!=' after 'x', found end of input"),
+    ("forall . x = x", "'forall' needs at least one variable",
+     "1:8: 'forall' needs at least one variable, found '.'"),
+    ("forall x x . x = x", "bound twice", "1:10: 'x' bound twice in the same 'forall' block"),
+    ("forall x exists y . x = y", "expected '.'", "1:10: expected '.', found 'exists'"),
+    ("exists true . true", "needs at least one variable",
+     "1:8: 'exists' needs at least one variable, found 'true'"),
+    ("x = x y = y", "unexpected input after formula", "1:7: unexpected input after formula: 'y'"),
+    ("(x = x", "expected ')'", "1:7: expected ')', found end of input"),
+    ("x == y", "expected variable name", "1:4: expected variable name, found '='"),
+    ("H{ x ; y(x) } . y = x", "must start with 'forall'",
+     "1:4: branched prefix must start with 'forall', found 'x'"),
+    ("H{ forall x ; y(q) } . y = y", "not a bound universal",
+     "1:1: bad branched prefix: dependency 'q' of 'y' is not a bound universal"),
+    ("H{ forall x ; y(x), y(x) } . y = x", "duplicate existential",
+     "1:1: bad branched prefix: duplicate existential 'y'"),
+    ("H{ forall x ; } . true", "expected existential name",
+     "1:15: expected existential name, found '}'"),
+    ("x = λ", "non-ASCII", "1:5: non-ASCII character 'λ'"),
+    ("x @ y", "unexpected character '@'", "1:3: unexpected character '@'"),
+]
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
-        "text, fragment",
-        [
-            ("", "expected a formula"),
-            ("x =", "expected variable name"),
-            ("x", "expected '=' or '!='"),
-            ("forall . x = x", "'forall' needs at least one variable"),
-            ("forall x x . x = x", "bound twice"),
-            ("forall x exists y . x = y", "expected '.'"),
-            ("exists true . true", "needs at least one variable"),
-            ("x = x y = y", "unexpected input after formula"),
-            ("(x = x", "expected ')'"),
-            ("x == y", "expected variable name"),
-            ("H{ x ; y(x) } . y = x", "must start with 'forall'"),
-            ("H{ forall x ; y(q) } . y = y", "not a bound universal"),
-            ("H{ forall x ; y(x), y(x) } . y = x", "duplicate existential"),
-            ("H{ forall x ; } . true", "expected existential name"),
-            ("x = λ", "non-ASCII"),
-            ("x @ y", "unexpected character '@'"),
-        ],
+        "text, message",
+        [(text, message) for text, _, message in PARSE_ERRORS],
+        ids=[f"{text}-{fragment}" for text, fragment, _ in PARSE_ERRORS],
     )
-    def test_message(self, text, fragment):
+    def test_message(self, text, message):
         with pytest.raises(ParseError) as info:
             parse_formula(text)
-        assert fragment in str(info.value)
+        assert str(info.value) == message
 
     def test_positions_are_line_and_column(self):
         with pytest.raises(ParseError) as info:
@@ -171,6 +196,20 @@ class TestParseErrors:
             ("H{ forall x ; forall(x) } . x = x",
              "1:15: 'forall' is reserved and cannot name an existential"),
             ("x = true", "1:5: 'true' is reserved and cannot name a variable"),
+            # The same after legal names, and after 'true' read as a constant.
+            ("forall x . x = x & x = true", "1:24: 'true' is reserved and cannot name a variable"),
+            ("true & x = x & x = true", "1:20: 'true' is reserved and cannot name a variable"),
+            ("forall x . x = x & x = forall",
+             "1:24: 'forall' is reserved and cannot name a variable"),
+            ("forall x . x = x & H{ forall y ; exists(y) } . x = y",
+             "1:34: 'exists' is reserved and cannot name an existential"),
+            ("H{ forall x ; y(x), true(x) } . y = x",
+             "1:21: 'true' is reserved and cannot name an existential"),
+            # A reserved word ends a list of dependencies or binders.
+            ("H{ forall x ; y(x true) } . y = x", "1:19: expected ')', found 'true'"),
+            ("H{ forall x ; y(x) } . y = x & forall z false . z = z",
+             "1:41: expected '.', found 'false'"),
+            ("x = y & true = x", "1:14: unexpected input after formula: '='"),
         ],
     )
     def test_reserved_word_as_a_name(self, text, message):
