@@ -518,12 +518,13 @@ def _ground(conjuncts, m: int, budget: Budget):
     c's, one per start tuple in lexicographic order, so the start tuple is
     the rank's offset read in base m.
 
-    Returns ``(off, (dense, cell, far), top, first, order, start, reads,
-    bases, plans)``: per existential its offset; each cell's class, -1 if
-    none; each class's largest key value (-1 if none); the ranks that read
-    no cell; the other ranks filed per class in grounding order, class k's
-    in ``order[start[k]:start[k + 1]]``, on the last class their start
-    tuple reads; the classes each rank's static picks read, conjunct c's
+    Returns ``(off, klass, top, first, order, start, reads, bases,
+    plans)``: per existential its offset; the lookup from a cell's id to
+    its class, -1 if none, whichever store holds the cell; each class's
+    largest key value (-1 if none); the ranks that read no cell; the
+    other ranks filed per class in grounding order, class k's in
+    ``order[start[k]:start[k + 1]]``, on the last class their start tuple
+    reads; the classes each rank's static picks read, conjunct c's
     ``npicks`` per rank from ``reads[rbase]`` on; and per stored conjunct
     its first rank ``base``, and its plan ``(base, rbase, npicks, keyed,
     links, ex_slots, loose, test)``.  ``keyed`` pairs each keyed
@@ -597,18 +598,10 @@ def _ground(conjuncts, m: int, budget: Budget):
         top.append(-1)
         return len(top) - 1
 
-    weights: dict[tuple, tuple[int, ...]] = {}
-
     def cells(picks, width: int) -> list[tuple]:
         """``picks`` with each existential's offset and key weights in place
         of the existential and its key."""
-        out = []
-        for e, key, *rest in picks:
-            w = weights.get((key, width))
-            if w is None:
-                w = weights[key, width] = _weights(key, width, m)
-            out.append((off[e], w, *rest))
-        return out
+        return [(off[e], _weights(key, width, m), *rest) for e, key, *rest in picks]
 
     # Unions first, so that every class's root is final when it is numbered.
     for starts, static, _, _, spread, check in conjuncts:
@@ -704,7 +697,7 @@ def _ground(conjuncts, m: int, budget: Budget):
         if k >= 0:
             start[k] -= 1
             order[start[k]] = r
-    return off, (dense, cell, far), top, first, order, start, reads, bases, plans
+    return off, get, top, first, order, start, reads, bases, plans
 
 
 def _weights(key, width: int, m: int) -> tuple[int, ...]:
@@ -730,31 +723,32 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
     class i-1's value and class i's keys, so the search sets ``hi[i]`` to
     ``min(m-1, max(hi[i-1], value[i-1]+1, top[i]+1))`` as it enters class
     i.  A class's conflict set is made when a failure first blames another
-    class.  ``value``, ``hi`` and ``mark`` are lists, as indexing one is
-    about three times as fast as indexing an ``array``.  A slot still takes
+    class.  Cells are read through the ground's ``klass`` lookup.
+    ``value``, ``hi`` and ``mark`` are lists, as indexing one is about
+    three times as fast as indexing an ``array``.  A slot still takes
     8 bytes: CPython shares the ints up to 256, and above that only a class
     the search enters holds an int of its own.
 
     An instance is visited, in grounding order, each time the class it is
     parked on takes a value.  A visit finds its plan from its rank and the
     classes it read in ``reads``, and decodes its keyed universals' values
-    from the rank.  It walks its steps, reading each step's cell
-    at the values its walk has so far; at a cell whose class has no value
-    yet it parks on that class, and once every class it reads has a value
-    it is checked, its loose universals looped inside the check.  A walk
-    that parks again is kept on a trail, undone when the class it left
-    tries another value or the search jumps back past it.  When an instance fails, the classes it
-    read join the current class's conflict set: its walk, and so which
-    instance it is, depends on nothing else.  A class that runs out of
-    values jumps back to the latest class of its set, merging the rest of
-    the set into that class's; an empty set means no assignment of the
-    other classes can help, so the prefix is false.  Instances that read
-    no cell are checked once, first.  One node per class value tried, per
-    walk step taken and per loose tuple checked.
+    from the rank.  It walks its steps, reading each step's cell at the
+    values its walk has so far; at a cell whose class has no value yet it
+    parks on that class, and once every class it reads has a value it is
+    checked, its loose universals looped inside the check.  A walk that
+    parks again is kept on a trail, undone when the class it left tries
+    another value or the search jumps back past it.  When an instance
+    fails, the classes it read join the current class's conflict set: its
+    walk, and so which instance it is, depends on nothing else.  A class
+    that runs out of values jumps back to the latest class of its set,
+    merging the rest of the set into that class's; an empty set means no
+    assignment of the other classes can help, so the prefix is false.
+    Instances that read no cell are checked once, first.  One node per
+    class value tried, per walk step taken and per loose tuple checked.
     """
     m = ctx.m
     charge = ctx.budget.charge
-    _, (dense, cell, far), top, first, order, start, reads, bases, plans = ground
+    _, klass, top, first, order, start, reads, bases, plans = ground
     count = len(top)
     value = [-1] * count
     # Walks parked again by this search, per class, by rank; ``trail`` lists
@@ -763,13 +757,6 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
     parked: dict[int, dict] = {}
     trail: list[tuple[int, int]] = []
     mark = [0] * count
-    if far:
-
-        def klass(g: int) -> int:
-            return cell[g] if g < dense else far[g]
-
-    else:
-        klass = cell.__getitem__
 
     def visit(rank: int, walks, i: int):
         """None if the instance ``rank`` holds or is parked again, else the
@@ -854,12 +841,10 @@ def _branch_search(ground, outer: tuple[int, ...], env: list[int], ctx: _Ctx):
                     break
             else:
                 break
-            blame = conflicts.get(i)
-            if blame is not None:
+            # A failure that read only class i blames nothing else.
+            if i in conflicts or min(failed) < i:
+                blame = conflicts.setdefault(i, set())
                 blame.update(failed)
-                blame.discard(i)
-            elif min(failed) < i:  # a failure that read only class i blames nothing else
-                blame = conflicts[i] = set(failed)
                 blame.discard(i)
         else:
             # Class i is out of values: jump back to the latest class to blame.
@@ -1120,13 +1105,12 @@ def witness_tables(f: Formula, size: int, budget: Budget | None = None):
         # Nothing runs after the spine's final branch search succeeds, and a
         # nested branch finishes before the branch around it.  Unread cells
         # get 0 at one node each: every table is total, its size budgeted.
-        (off, (dense, cell, far), *_), values = solved
+        (off, klass, *_), values = solved
         prefix = node.prefix
         for e, (v, deps) in enumerate(zip(prefix.existentials, prefix.deps)):
             table = tables[v.name] = {}
             for n, key in enumerate(_tuples(len(deps), size)):
-                g = off[e] + n if e in off else -1
-                k = cell[g] if 0 <= g < dense else far.get(g, -1)
+                k = klass(off[e] + n) if e in off else -1
                 if k < 0:
                     budget.charge()
                 table[key] = values[k] if k >= 0 else 0

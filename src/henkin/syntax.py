@@ -27,8 +27,6 @@ __all__ = [
     "NAME_PATTERN",
     "RESERVED_WORDS",
     "Variable",
-    "VarLike",
-    "as_variable",
     "HenkinPrefix",
     "mk_prefix",
     "prefix_diagnostics",

@@ -1054,3 +1054,21 @@ class TestGroundMemory:
         arrays = results()
         monkeypatch.setattr(evaluator, "_DENSE", 0)
         assert results() == arrays
+
+    def test_one_ground_in_both_stores(self, monkeypatch):
+        # With _DENSE = 1, y's 8 keys outnumber the 4 cells its picks can reach,
+        # so y keeps its cells in the dict while w keeps its array; the
+        # chain link z = y reads y's cell, then w's.
+        f = P(
+            "H{ forall x1 x2 x3 z ; y(x1 x2 x3), w(z) } . "
+            "((x1 = x2 & x2 = x3 -> y != x1) & (x1 = x2 & x2 = x3 & z = y -> w = x1))"
+        )
+
+        def result():
+            budget = Budget()
+            return _run(f, 2), witness_tables(f, 2, budget=budget), budget.spent
+
+        arrays = result()
+        monkeypatch.setattr(evaluator, "_DENSE", 1)
+        assert result() == arrays
+        assert arrays[0][0] is evaluate_naive(f, 2)
