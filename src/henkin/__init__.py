@@ -55,7 +55,7 @@ from .syntax import (
     build_hn,
     conjoin,
     equal,
-    free_variables,
+    free_names,
     mk_prefix,
     not_equal,
     validate,
@@ -113,7 +113,7 @@ __all__ = [
     "build_hn",
     "conjoin",
     "equal",
-    "free_variables",
+    "free_names",
     "mk_prefix",
     "not_equal",
     "validate",

@@ -7,8 +7,8 @@ function symbol (for the five letters and the composite cc); the second
 (``build_en``) gets away with two universals by hanging ten existentials
 off the first and eight off the second.  Every conjunct of both is a
 labeled rule, stated by ``_rule`` as two lists of name pairs: the
-equalities of the first imply those of the second.  The labels let tests
-point at the exact clause that fails.
+equalities of the first imply those of the second.  ``reducer.sentence``
+conjoins them; the labels let tests point at the exact clause that fails.
 
 ``infinity_sentence`` is the classic branched sentence that is true
 exactly on infinite domains (an injective, non-surjective pairing forced
@@ -19,7 +19,7 @@ true on every finite domain and no infinite one.
 from __future__ import annotations
 
 from .evaluator import table_failures
-from .reducer import separation_clauses
+from .reducer import sentence
 from .syntax import (
     And,
     Branch,
@@ -125,8 +125,7 @@ def ceitin_h12_clauses() -> list[tuple[str, Formula]]:
 
 
 def ceitin_h12() -> Branch:
-    clauses = ceitin_h12_clauses()
-    return Branch(ceitin_h12_prefix(), And(tuple(f for _, f in clauses)))
+    return sentence(ceitin_h12_prefix(), ceitin_h12_clauses())
 
 
 def ceitin_h12_with_query(query: Equation) -> Exists:
@@ -139,9 +138,7 @@ def ceitin_h12_with_query(query: Equation) -> Exists:
     if extra:
         raise ValueError("query letters must be among a-e, got: " + ", ".join(extra))
     designated = {ch: (Variable(f"x_{ch}"), Variable(f"y_{ch}")) for ch in "abcde"}
-    spine, trace = separation_clauses(query, designated)
-    matrix = And(tuple(f for _, f in ceitin_h12_clauses() + trace))
-    return Exists(spine, Branch(ceitin_h12_prefix(), matrix))
+    return sentence(ceitin_h12_prefix(), ceitin_h12_clauses(), query, designated)
 
 
 _E10_ROW1 = ("y_a", "y_ca", "y_da", "y_b", "y_cb", "y_db", "y_e", "y_eca", "y_de", "y_cca")
@@ -187,8 +184,7 @@ def ceitin_e10_clauses() -> list[tuple[str, Formula]]:
 
 
 def ceitin_e10() -> Branch:
-    clauses = ceitin_e10_clauses()
-    return Branch(ceitin_e10_prefix(), And(tuple(f for _, f in clauses)))
+    return sentence(ceitin_e10_prefix(), ceitin_e10_clauses())
 
 
 def infinity_sentence() -> Exists:

@@ -25,6 +25,8 @@ The matrix is one flat conjunction of labeled clauses, in this order:
 universals) carrying letter c, ``equation:i`` for equation i (from 1),
 ``trace:tj`` and ``trace:sj`` for the step from t_j to t_{j-1} (s_j to
 s_{j-1}), ``start``, and last ``separate``, the disequation t0 != s0.
+``sentence`` is the one place a labeled clause list becomes a sentence,
+for ``compile`` and for every Ceitin fixture.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .syntax import (
     Branch,
     Exists,
     Formula,
+    HenkinPrefix,
     Implies,
     Variable,
     build_hn,
@@ -46,11 +49,10 @@ from .syntax import (
 from .words import Equation, Presentation
 
 __all__ = [
-    "PlanRow",
-    "RowPlan",
     "plan_rows",
     "clauses",
     "separation_clauses",
+    "sentence",
     "compile",
 ]
 
@@ -144,11 +146,19 @@ def separation_clauses(
     return t + s, out
 
 
+def sentence(prefix: HenkinPrefix, matrix: Clauses, query=None, designated=None) -> Branch | Exists:
+    """``prefix`` over the labeled clauses' formulas, conjoined in order.  With
+    a query, the ``separation_clauses`` for it and ``designated`` go last and
+    their spine binds the whole."""
+    if query is None:
+        return Branch(prefix, And(tuple(f for _, f in matrix)))
+    spine, trace = separation_clauses(query, designated)
+    return Exists(spine, sentence(prefix, matrix + trace))
+
+
 def compile(presentation: Presentation, query: Equation) -> Exists:
     """The full sentence for one separation instance."""
     plan = plan_rows(presentation, query)
     prefix = build_hn((r.universal, r.existential) for r in plan.rows)
     designated = {r.letter: (r.universal, r.existential) for r in plan.designated}
-    spine, trace = separation_clauses(query, designated)
-    matrix = And(tuple(f for _, f in clauses(plan) + trace))
-    return Exists(spine, Branch(prefix, matrix))
+    return sentence(prefix, clauses(plan), query, designated)

@@ -50,7 +50,6 @@ __all__ = [
     "not_equal",
     "conjoin",
     "free_names",
-    "free_variables",
     "formula_depth",
     "validate",
 ]
@@ -362,11 +361,6 @@ def free_names(f: Formula) -> frozenset[str]:
                 todo += _children(g)
         out.update(names.difference(bound))
     return frozenset(out)
-
-
-def free_variables(f: Formula) -> frozenset[Variable]:
-    """The variables of ``f``'s atoms that no binder above them binds."""
-    return frozenset(map(Variable, free_names(f)))
 
 
 def formula_depth(f: Formula) -> int:

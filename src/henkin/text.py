@@ -71,7 +71,6 @@ from .syntax import (
 from .words import LETTERS, Equation, Presentation
 
 __all__ = [
-    "SourceSpan",
     "ParseError",
     "parse_formula",
     "format_formula",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["LETTERS", "check_word", "Equation", "Presentation"]
+__all__ = ["LETTERS", "Equation", "Presentation"]
 
 LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
 

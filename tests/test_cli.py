@@ -1,6 +1,8 @@
 import argparse
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -415,3 +417,33 @@ class TestInstalledEntryPoint:
         done = self.run("sat", "--expr", "false", "--max-size", "100", "--budget", "10")
         assert done.returncode == 4
         assert done.stderr == "error: search budget of 10 nodes exceeded at domain size 11\n"
+
+
+def _readme_sessions() -> list[tuple[str, str]]:
+    """Each ``$ command`` line of README's ``sh`` blocks, with the text
+    printed after it up to the next command or the end of the block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sessions = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for session in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, out = session.partition("\n")
+            sessions.append((command, out))
+    return sessions
+
+
+def test_readme_examples_print_what_readme_says(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    sessions = _readme_sessions()
+    assert len(sessions) == 6
+    got = []
+    for command, _ in sessions:
+        argv = shlex.split(command)
+        if argv[0] == "printf":
+            # printf FORMAT > FILE
+            assert argv[2] == ">"
+            Path(argv[3]).write_text(argv[1].replace("\\n", "\n"), encoding="ascii")
+        else:
+            assert argv[0] == "henkin"
+            main(argv[1:])
+        got.append((command, capsys.readouterr().out))
+    assert got == sessions

@@ -32,7 +32,7 @@ from henkin import (
     evaluate_naive,
     find_min_model,
     find_witness,
-    free_variables,
+    free_names,
     infinity_sentence,
     mk_prefix,
     parse_formula,
@@ -261,9 +261,9 @@ class TestWitness:
                 node = node.body
             unread = []
             if isinstance(node, Branch):
-                read = free_variables(node.body)
+                read = free_names(node.body)
                 prefix = node.prefix
-                unread = [len(ds) for e, ds in zip(prefix.existentials, prefix.deps) if e not in read]
+                unread = [len(ds) for e, ds in zip(prefix.existentials, prefix.deps) if e.name not in read]
             for m in (1, 2):
                 decided, witnessed = Budget(), Budget()
                 verdict = evaluate(f, m, budget=decided)
@@ -331,7 +331,7 @@ class TestSymmetryBreaking:
     def test_agrees_with_naive_engine(self, data):
         f = data.draw(small_formulas())
         m = data.draw(st.integers(min_value=1, max_value=3))
-        env = {v.name: data.draw(st.integers(0, m - 1)) for v in sorted(free_variables(f), key=str)}
+        env = {n: data.draw(st.integers(0, m - 1)) for n in sorted(free_names(f))}
         assert evaluate(f, m, env) == evaluate_naive(f, m, env)
 
 

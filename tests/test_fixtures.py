@@ -9,6 +9,7 @@ from henkin import (
     HenkinPrefix,
     Implies,
     Not,
+    Variable,
     ceitin_e10,
     ceitin_h12,
     ceitin_h12_with_query,
@@ -23,6 +24,7 @@ from henkin import (
     not_equal,
     validate,
 )
+from henkin.reducer import separation_clauses
 from henkin.text import format_equation, format_formula
 from henkin.fixtures import (
     ceitin_e10_clauses,
@@ -92,8 +94,10 @@ class TestH12:
     def test_sentence_shape(self):
         f = ceitin_h12()
         assert isinstance(f, Branch)
+        assert f.prefix == ceitin_h12_prefix()
         assert isinstance(f.body, And)
         assert len(f.body.items) == 14
+        assert f.body.items == tuple(g for _, g in ceitin_h12_clauses())
         assert validate(f) == []
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -119,11 +123,18 @@ class TestH12:
 
 class TestH12WithQuery:
     def test_shape(self):
-        f = ceitin_h12_with_query(Equation("a", "b"))
+        query = Equation("a", "b")
+        f = ceitin_h12_with_query(query)
         assert isinstance(f, Exists)
         assert [v.name for v in f.variables] == ["t0", "t1", "s0", "s1"]
         assert isinstance(f.body, Branch)
+        assert f.body.prefix == ceitin_h12_prefix()
         assert len(f.body.body.items) == 18  # 14 base clauses + 4 separation clauses
+        # Each query letter's designated row is its unprimed H12 row.
+        designated = {ch: (Variable(f"x_{ch}"), Variable(f"y_{ch}")) for ch in "abcde"}
+        spine, trace = separation_clauses(query, designated)
+        assert f.variables == spine
+        assert f.body.body.items == tuple(g for _, g in ceitin_h12_clauses() + trace)
 
     def test_rejects_foreign_letters(self):
         with pytest.raises(ValueError, match="must be among a-e"):
@@ -179,7 +190,9 @@ class TestE10:
     def test_sentence_shape(self):
         f = ceitin_e10()
         assert isinstance(f, Branch)
+        assert f.prefix == ceitin_e10_prefix()
         assert len(f.body.items) == 17
+        assert f.body.items == tuple(g for _, g in ceitin_e10_clauses())
         assert validate(f) == []
 
     @pytest.mark.parametrize("m", [1, 2])
