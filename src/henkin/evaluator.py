@@ -9,14 +9,14 @@ tables; they differ in how.
 ``evaluate`` is the workhorse.  It compiles the formula into nested
 closures over a flat slot environment.  At a branched prefix it splits
 the matrix into its conjuncts (nested ``And``s flattened), each compiled
-to a record: where its cells' keys sit among its keyed universals (those
-the cells it reads depend on), its guard classes and chain links
-(below), and the slots and closure its instances share.  A run grounds
-each record on its first visit to the prefix, over the record's keyed
-universals, one instance per tuple of those, since a universal
-quantifier distributes over a conjunction; universals a conjunct
-mentions but that key none of its cells are looped inside the
-instance's check.  The search then assigns table cells in the order
+to a plan of all that its instances share at every domain size: its
+keyed universals (those the cells it reads depend on), their guard
+classes and chain links (below), where its cells' keys sit among those
+classes, and its slots and closure.  A run grounds each plan on its
+first visit to the prefix, over the plan's keyed universals, one
+instance per tuple of those, since a universal quantifier distributes
+over a conjunction; universals a conjunct mentions but that key none of
+its cells are looped inside the instance's check.  The search then assigns table cells in the order
 instances first read them, checking each instance once its last cell
 has a value, and backjumps on conflict (CBJ, Prosser 1993): a cell that
 runs out of values returns to the latest cell that took part in one of
@@ -26,7 +26,7 @@ None of that compile depends on the domain size, so ``evaluate`` keeps
 the last one, keyed by the formula object (formulas are frozen) and the
 env's names, and a call on the same formula reuses it: ``find_min_model``
 and ``crosscheck``, which try one sentence at every size, validate it,
-check its free variables and build its closures and conjunct records
+check its free variables and build its closures and conjunct plans
 once.  Every run still checks its size and env values, grounds each
 prefix afresh and searches, so a call's verdict and node count are the
 same as on a fresh copy of the formula.  A run takes the compile out of
@@ -62,8 +62,9 @@ universals and only equalities of keyed universals as ``A``'s top-level
 conjuncts, is a functional-consistency clause (Ackermann 1954), such as
 ``reducer``'s ``same-letter`` clauses.  Each equality of ``A`` is a guard
 inside one class, so ``A`` holds on every admitted tuple and an admitted
-instance is exactly ``cell1 = cell2``.  Grounding unites those two cells
-instead of storing the instance, and the search assigns one value per
+instance is exactly ``cell1 = cell2``.  Such a conjunct compiles to a
+merge, not a plan: grounding unites its two cells instead of storing
+its instances, and the search assigns one value per
 class of united cells, for a compiled sentence one table per letter.
 The classes are closed under domain permutations, because the admitted
 tuples are, so the transposition argument below holds with a class in
@@ -194,18 +195,18 @@ __all__ = [
 class _Ctx:
     """A formula's compile and the state of the run using it.
 
-    Compiling allocates the slots and numbers the branched prefixes.  The
-    closures read the run's domain size, budget and grounds off this
-    object, which ``_search`` sets before a run and clears after it."""
+    Compiling allocates the slots.  The closures read the run's domain
+    size, budget and grounds off this object, which ``_search`` sets before
+    a run and clears after it."""
 
-    __slots__ = ("nslots", "nbranches", "m", "budget", "grounds", "found")
+    __slots__ = ("nslots", "m", "budget", "grounds", "found")
 
     def __init__(self):
         self.nslots = 0
-        self.nbranches = 0
         self.m = 0
         self.budget = None
-        # Per branched prefix, its ground, built on the run's first visit.
+        # Each branched prefix's ground, keyed by its closure, built on the
+        # run's first visit.
         self.grounds = None
         # (ground, class values) of the last branch search that succeeded.
         self.found = None
@@ -287,15 +288,13 @@ def _compile(node: Formula, scope: dict[str, int], ctx: _Ctx):
         return run_block
     if isinstance(node, Branch):
         outer, conjuncts = _compile_branch(node, scope, ctx)
-        k = ctx.nbranches
-        ctx.nbranches += 1
 
         def run_branch(env):
             # Grounded once per run: the domain size is fixed for a run, and
             # an outer block may visit the prefix many times.
-            ground = ctx.grounds[k]
+            ground = ctx.grounds.get(run_branch)
             if ground is None:
-                ground = ctx.grounds[k] = _ground(conjuncts, ctx.m, ctx.budget)
+                ground = ctx.grounds[run_branch] = _ground(conjuncts, ctx.m, ctx.budget)
             values = _branch_search(ground, outer, env, ctx)
             if values is None:
                 return False
@@ -418,25 +417,28 @@ def _walk(ante: list[Formula], classes: dict[str, int], picks: dict, width: int)
 
 
 def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
-    """Compile a branched prefix into its enclosing scope's slots and one
-    ``(starts, static, walked, steps, spread, check)`` record per conjunct,
-    in check order: fewest existentials first, then fewest keyed
-    universals, ties as written.
+    """Compile a branched prefix into its enclosing scope's slots and its
+    conjuncts' ``(merges, plans)``, each list in check order: fewest
+    existentials first, then fewest keyed universals, ties as written.
 
     A conjunct is keyed by the universals its existentials depend on.  Its
     guards (``_guards``) between two keyed universals join keyed positions
-    into classes, numbered by their first position, and ``spread`` maps
-    each keyed position to its class.  Its chain links fix some classes
-    from cell values (``_walk``'s ``steps``); the others are its
-    ``starts``.  Each existential it mentions is a pick ``(existential, key
-    classes)``: ``static`` if its key lies in the start classes, else
-    ``walked``.  Its instances share ``check``, ``(keyed_slots, ex_slots,
-    loose, test)``: the slots of its keyed universals, of its existentials
-    (static picks first) and of its other universals, and its compiled
-    closure.  ``check`` is None for a conjunct ``A -> e1 = e2`` with
-    existentials ``e1`` and ``e2`` and only equalities of keyed universals
-    as ``A``'s top-level conjuncts (``_equates``): its admitted instances
-    equate two cells, which ``_ground`` merges.
+    into ``width`` classes, numbered by their first position.  Each
+    existential it mentions is a pick ``(existential, key classes)``.  A
+    conjunct ``A -> e1 = e2`` with existentials ``e1`` and ``e2`` and only
+    equalities of keyed universals as ``A``'s top-level conjuncts
+    (``_equates``) is a merge ``(width, pick, pick)``, ``e1``'s and
+    ``e2``'s: its admitted instances equate two cells, which ``_ground``
+    unites.  Any other conjunct is a plan ``(starts, static, walked, steps,
+    width, keyed, ex_slots, loose, test)``.  Its chain links fix some
+    classes from cell values (``_walk``'s ``steps``); the others are its
+    ``starts``.  A pick is ``static`` if its key lies in the start classes,
+    its key then naming their places in ``starts``, else ``walked``.
+    ``keyed`` pairs each keyed universal's slot with its class,
+    ``ex_slots`` lists the existentials' slots, static picks first, each
+    paired with its place among the rank's reads when the plan has no
+    steps, ``loose`` the slots of its other universals, and ``test`` is
+    its compiled closure.
     """
     prefix = node.prefix
     inner = dict(scope)
@@ -447,12 +449,13 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
     deps = tuple(tuple(uni_index[d.name] for d in ds) for ds in prefix.deps)
     exnames = tuple(e.name for e in prefix.existentials)
     exis = {n: i for i, n in enumerate(exnames)}
-    conjuncts = []
+    merges, plans = [], []
     for part in _conjuncts(node.body):
         names = free_names(part)
         exs = sorted([exis[n] for n in names if n in exis])
         keyed = sorted({j for i in exs for j in deps[i]})
         loose = sorted([j for j in map(uni_index.get, names) if j is not None and j not in keyed])
+        rank = (len(exs), len(keyed))
         # Each keyed universal's class, labelled by the class's first position.
         pos = {uni[j]: p for p, j in enumerate(keyed)}
         first = list(range(len(keyed)))
@@ -467,22 +470,29 @@ def _compile_branch(node: Branch, scope: dict[str, int], ctx: _Ctx):
         classes = {n: spread[p] for n, p in pos.items()}
         picks = {exnames[i]: (i, tuple([classes[uni[j]] for j in deps[i]])) for i in exs}
         ante = _conjuncts(part.antecedent) if isinstance(part, Implies) else None
-        merged = ante is not None and _equates(part, ante, exis.keys(), pos.keys())
+        if ante is not None and _equates(part, ante, exis.keys(), pos.keys()):
+            pair = list(picks.values())
+            merges.append((rank, (width, pair[0], pair[-1])))
+            continue
         steps, starts = (), tuple(range(width))
-        if ante is not None and not merged:
+        if ante is not None:
             steps, starts = _walk(ante, classes, picks, width)
         static, walked = [], []
-        for pick in picks.values():
-            (static if set(pick[1]).issubset(starts) else walked).append(pick)
-        check = None
-        if not merged:
-            keyed_slots = tuple([inner[uni[j]] for j in keyed])
-            ex_slots = tuple([inner[exnames[i]] for i, _ in static + walked])
-            loose_slots = tuple([inner[uni[j]] for j in loose])
-            check = (keyed_slots, ex_slots, loose_slots, _compile(part, inner, ctx))
-        conjuncts.append(((len(exs), len(keyed)), (starts, static, walked, steps, spread, check)))
-    conjuncts.sort(key=lambda c: c[0])
-    return tuple(scope.values()), [record for _, record in conjuncts]
+        for e, key in picks.values():
+            if set(key).issubset(starts):
+                static.append((e, tuple(map(starts.index, key))))
+            else:
+                walked.append((e, key))
+        ex_slots = tuple([inner[exnames[e]] for e, _ in static + walked])
+        if not steps:
+            ex_slots = tuple(zip(ex_slots, range(len(static))))
+        keyed_slots = tuple([(inner[uni[j]], c) for j, c in zip(keyed, spread)])
+        loose_slots = tuple([inner[uni[j]] for j in loose])
+        test = _compile(part, inner, ctx)
+        plan = (starts, static, walked, steps, width, keyed_slots, ex_slots, loose_slots, test)
+        plans.append((rank, plan))
+    merges, plans = ([c for _, c in sorted(side, key=lambda c: c[0])] for side in (merges, plans))
+    return tuple(scope.values()), (merges, plans)
 
 
 # An existential keeps its cells in an array when its key space is at most
@@ -492,21 +502,15 @@ _DENSE = 8
 
 
 def _ground(conjuncts, m: int, budget: Budget):
-    """Instantiate every conjunct record on its start tuples.
+    """Instantiate ``_compile_branch``'s merges and plans at size m.
 
-    A conjunct's admitted tuples are the tuples of its keyed universals
-    that are constant on each guard class (``_compile_branch``); every
-    other tuple makes a guard false, so its instance holds whatever the
-    cells hold and is never built.  Of the admitted tuples, only those
-    whose linked classes hold the values their walks read can fail, so
-    the values of the start classes are enumerated alone, in
-    lexicographic order, and the search walks each instance's links.
-    An instance of a conjunct whose ``check`` is None equates its two
-    cells: they are united (union-find) before any instance is stored,
-    and the search assigns one value per class of united cells.  So a
-    class is final when an instance first reads one of its cells, and is
-    numbered then; the classes of cells that only walks reach follow, then
-    those of cells that only merged conjuncts name.
+    Each merge unites its two cells (union-find) at every tuple of its
+    classes, before any instance is stored, so a class of united cells is
+    final when an instance first reads one of its cells, and is numbered
+    then; the classes of cells that only walks reach follow, then those of
+    cells that only merges name.  Each plan is grounded on its start
+    tuples, every tuple of its start classes in lexicographic order, and
+    the search walks each instance's links.
 
     Storage is flat.  A cell's id is its existential's offset plus its key
     read in base m (``_weights``).  An existential whose key space is
@@ -514,9 +518,9 @@ def _ground(conjuncts, m: int, budget: Budget):
     budget left keeps one ``array`` slot per key, at the ids below
     ``dense``; the others, whose guards admit few of their keys, keep the
     cells they name in the dict ``far``, keyed by id.  An instance is its
-    rank, its place in grounding order: ranks ``bases[c]`` on are conjunct
-    c's, one per start tuple in lexicographic order, so the start tuple is
-    the rank's offset read in base m.
+    rank, its place in grounding order: ranks ``bases[c]`` on are plan
+    c's, one per start tuple, so the start tuple is the rank's offset read
+    in base m.
 
     Returns ``(off, klass, top, first, order, start, reads, bases,
     plans)``: per existential its offset; the lookup from a cell's id to
@@ -524,29 +528,28 @@ def _ground(conjuncts, m: int, budget: Budget):
     largest key value (-1 if none); the ranks that read no cell; the
     other ranks filed per class in grounding order, class k's in
     ``order[start[k]:start[k + 1]]``, on the last class their start tuple
-    reads; the classes each rank's static picks read, conjunct c's
-    ``npicks`` per rank from ``reads[rbase]`` on; and per stored conjunct
-    its first rank ``base``, and its plan ``(base, rbase, npicks, keyed,
-    links, ex_slots, loose, test)``.  ``keyed`` pairs each keyed
-    universal's slot with the power of m its value is the digit of.
-    ``links`` is None, and ``ex_slots`` pairs each existential's slot with
-    its place among the rank's reads; or, for a conjunct with chain links,
-    ``links`` is ``(digits, steps, walked, slots)``: the power of m per
-    class (m**len(starts) for a linked one, so that it reads 0), the walk
-    steps and walked picks as ``(offset, weights[, fixed class])``, and
-    each keyed slot's class, ``keyed`` is empty, and ``ex_slots`` lists
-    the slots of the static picks, then the walked.  One node per start
+    reads; the classes each rank's static picks read, plan c's ``npicks``
+    per rank from ``reads[rbase]`` on; and per plan its first rank and
+    what its instances need at size m, ``(base, rbase, npicks, keyed,
+    links, ex_slots, loose, test)``.  A start class's value is the digit of
+    the rank's offset at its weight, and a linked class's weight
+    m**len(starts) exceeds every offset, so it reads 0.  Without steps,
+    ``links`` is None and ``keyed`` pairs each keyed slot with its class's
+    weight; with them, ``keyed`` is empty and ``links`` is ``(digits,
+    steps, walked, keyed)``: the weight per class, the walk steps and
+    walked picks as ``(offset, weights[, fixed class])``, and the plan's
+    keyed slots with their classes.  One node per merge tuple and start
     tuple, and one per cell only a walk reaches.
     """
+    merges, plans = conjuncts
     charge = budget.charge
     # Per existential, its arity and how many cells its picks can reach.
     arity: dict[int, int] = {}
     reach: dict[int, int] = {}
-    for record in conjuncts:
-        for picks in (record[1], record[2]):
-            for e, key in picks:
-                arity[e] = a = len(key)
-                reach[e] = reach.get(e, 0) + m ** (len(set(key)) if a > 1 else a)
+    picks = chain(*(dict.fromkeys(pair) for _, *pair in merges), *(s + w for _, s, w, *_ in plans))
+    for e, key in picks:
+        arity[e] = len(key)
+        reach[e] = reach.get(e, 0) + m ** len(set(key))
     sparse = {e for e, a in arity.items() if m**a > _DENSE * min(reach[e], budget.remaining)}
     off: dict[int, int] = {}
     dense = size = 0
@@ -604,52 +607,41 @@ def _ground(conjuncts, m: int, budget: Budget):
         return [(off[e], _weights(key, width, m), *rest) for e, key, *rest in picks]
 
     # Unions first, so that every class's root is final when it is numbered.
-    for starts, static, _, _, spread, check in conjuncts:
-        if check is None:
-            (oi, wi), (oj, wj) = cells((static[0], static[-1]), max(spread) + 1)
-            for classed in _tuples(len(starts), m):
-                charge()
-                a = root(oi + sum(map(mul, classed, wi)))
-                b = root(oj + sum(map(mul, classed, wj)))
-                if a != b:
-                    put(max(a, b), min(a, b))
+    for width, *pair in merges:
+        (oi, wi), (oj, wj) = cells(pair, width)
+        for classed in _tuples(width, m):
+            charge()
+            a = root(oi + sum(map(mul, classed, wi)))
+            b = root(oj + sum(map(mul, classed, wj)))
+            if a != b:
+                put(max(a, b), min(a, b))
     # Each rank's class, -1 for those that read no cell, and the classes its
-    # static picks read, from ``reads[rbase]`` on for its conjunct's first.
+    # static picks read, from ``reads[rbase]`` on for its plan's first.
     park = array("q")
     reads = array("q")
-    bases, plans, walks = [], [], []
-    for starts, static, walked, steps, spread, check in conjuncts:
-        if check is None:
-            continue
-        width = max(spread, default=-1) + 1
-        keyed_slots, ex_slots, loose, test = check
-        static = cells(static, width)
+    bases, instances, walks = [], [], []
+    for starts, static, walked, steps, width, keyed, ex_slots, loose, test in plans:
+        digits = [m ** len(starts)] * width
+        for p, c in enumerate(reversed(starts)):
+            digits[c] = m**p
+        static = cells(static, len(starts))
         bases.append(len(park))
+        head = (len(park), len(reads), len(static))
         if steps:
-            # A start class's value is a digit of the start tuple read in base
-            # m; a linked class reads 0, as m**len(starts) exceeds every tuple.
-            digits = [m ** len(starts)] * width
-            for p, c in enumerate(reversed(starts)):
-                digits[c] = m**p
             walked = cells(walked, width)
             walks.append(walked)
-            links = (digits, cells(steps, width), walked, list(zip(keyed_slots, spread)))
-            plans.append((len(park), len(reads), len(static), (), links, ex_slots, loose, test))
-            # Static picks read only start classes: weigh the start tuple.
-            static = [(o, tuple(map(w.__getitem__, starts))) for o, w in static]
+            links = (digits, cells(steps, width), walked, keyed)
+            instances.append((*head, (), links, ex_slots, loose, test))
         else:
-            # Every class is a start class: its value is digit width-1-c.
-            keyed = [(s, m ** (width - 1 - c)) for s, c in zip(keyed_slots, spread)]
-            # Each existential's slot, and where its class sits among the reads.
-            ex_slots = list(zip(ex_slots, range(len(static))))
-            plans.append((len(park), len(reads), len(static), keyed, None, ex_slots, loose, test))
+            keyed = [(s, digits[c]) for s, c in keyed]
+            instances.append((*head, keyed, None, ex_slots, loose, test))
         for vals in _tuples(len(starts), m):
             charge()
             read = [klass(o + sum(map(mul, vals, w))) for o, w in static]
             reads.extend(read)
             park.append(max(read) if read else -1)
     first = [r for r, k in enumerate(park) if k < 0]
-    # The cells only walks reach, then those only merged conjuncts name.
+    # The cells only walks reach, then those only merges name.
     for walked in walks:
         for o, w in walked:
             w = [x for x in w if x]  # the key's classes' weights, in class order
@@ -697,7 +689,7 @@ def _ground(conjuncts, m: int, budget: Budget):
         if k >= 0:
             start[k] -= 1
             order[start[k]] = r
-    return off, get, top, first, order, start, reads, bases, plans
+    return off, get, top, first, order, start, reads, bases, instances
 
 
 def _weights(key, width: int, m: int) -> tuple[int, ...]:
@@ -1015,7 +1007,7 @@ def _search(f: Formula, size: int, env, budget: Budget):
         *_, fn, ctx = last
         # The env's names own the first slots, in order.
         slots_env = [*map(bound.__getitem__, names)] + [0] * (ctx.nslots - len(names))
-        ctx.m, ctx.budget, ctx.grounds = size, budget, [None] * ctx.nbranches
+        ctx.m, ctx.budget, ctx.grounds = size, budget, {}
         return fn(slots_env), slots_env, ctx.found
     finally:
         if last is not None:

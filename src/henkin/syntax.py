@@ -219,8 +219,10 @@ class EqualAtom(Formula):
     right: Variable
 
     def __post_init__(self):
-        object.__setattr__(self, "left", as_variable(self.left))
-        object.__setattr__(self, "right", as_variable(self.right))
+        if not isinstance(self.left, Variable):
+            object.__setattr__(self, "left", Variable(self.left))
+        if not isinstance(self.right, Variable):
+            object.__setattr__(self, "right", Variable(self.right))
 
 
 @dataclass(frozen=True, slots=True)

@@ -602,22 +602,23 @@ class TestGroundedSearch:
         assert evaluate(f, m) == evaluate_naive(f, m)
 
 
-def _grounded(f, m) -> tuple[bool, list]:
-    """``evaluate(f, m)``, and the conjunct records of the branched
-    prefixes it grounds: ``(starts, static, walked, steps, spread,
-    check)``.  ``_ground`` merges those whose ``check`` is None and walks
-    the instances of those with ``steps``."""
-    ground, records = evaluator._ground, []
+def _grounded(f, m) -> tuple[bool, list, list]:
+    """``evaluate(f, m)``, and the merges and plans of the branched
+    prefixes it grounds, as ``_compile_branch`` lays them out.  ``_ground``
+    unites the cells of each merge and walks the instances of each plan
+    with ``steps``."""
+    ground, merges, plans = evaluator._ground, [], []
 
     def spy(conjuncts, *args):
-        records.extend(conjuncts)
+        merges.extend(conjuncts[0])
+        plans.extend(conjuncts[1])
         return ground(conjuncts, *args)
 
     # Patched by hand, not by the monkeypatch fixture, so that Hypothesis
     # tests can use it too.
     evaluator._ground = spy
     try:
-        return evaluate(f, m), records
+        return evaluate(f, m), merges, plans
     finally:
         evaluator._ground = ground
 
@@ -643,6 +644,13 @@ class TestMergedCells:
                 " ((x = z -> y = w) & w != z))",
                 1,
             ),
+            # Two sibling prefixes in one run, under a prefix that names
+            # neither, as ``_tables_hold`` reads tables off a branch.
+            (
+                "H{ forall u ; c() } . ((H{ forall x z ; y(x), w(z) } . (x = z -> y = w) & y = x)"
+                " & H{ forall x z ; y(x), w(z) } . (x = z -> y = w) & y != x)",
+                2,
+            ),
         ],
         ids=[
             "spine-in-antecedent",
@@ -656,13 +664,14 @@ class TestMergedCells:
             "arity-zero",
             "arity-zero-true",
             "nested-rebinding",
+            "sibling-prefixes",
         ],
     )
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_shapes_agree_with_naive_engine(self, text, merged, m):
         f = P(text)
-        verdict, records = _grounded(f, m)
-        assert sum(check is None for *_, check in records) == merged
+        verdict, merges, _ = _grounded(f, m)
+        assert len(merges) == merged
         assert verdict == evaluate_naive(f, m)
         if verdict:
             assert _tables_hold(f, m, witness_tables(f, m))
@@ -712,8 +721,8 @@ class TestMergedCells:
         assert checked == 16
 
     def test_frontier_node_guard(self):
-        # At m=6: 3,560 and 8,867 nodes for the mirrored pair (168,758 and
-        # 3,210 before merging), 15,868 for all twelve (181,636 before).
+        # At m=6: 7,051 nodes for each of the mirrored pair (168,758 and
+        # 3,210 before merging), 17,472 for all twelve (181,636 before).
         spent = {}
         for equations, query, _ in CROSSCHECK_INSTANCES:
             sentence = reducer.compile(Presentation.of(equations), Equation(*query))
@@ -783,8 +792,8 @@ class TestChainLinks:
         if spine:
             f = Exists((Variable("t"),), f)
         m = data.draw(st.integers(1, 3 if rows == 2 else 2))
-        verdict, records = _grounded(f, m)
-        assert any(steps for _, _, _, steps, _, _ in records)
+        verdict, _, plans = _grounded(f, m)
+        assert any(steps for _, _, _, steps, *_ in plans)
         assert verdict == evaluate_naive(f, m)
         if verdict:
             assert _tables_hold(f, m, witness_tables(f, m))
@@ -810,8 +819,8 @@ class TestChainLinks:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_shapes_agree_with_naive_engine(self, text, walks, m):
         f = P(text)
-        verdict, records = _grounded(f, m)
-        assert any(steps for _, _, _, steps, _, _ in records) == walks
+        verdict, _, plans = _grounded(f, m)
+        assert any(steps for _, _, _, steps, *_ in plans) == walks
         assert verdict == evaluate_naive(f, m, budget=Budget(2_000_000))
         if verdict:
             assert _tables_hold(f, m, witness_tables(f, m))
