@@ -7,9 +7,11 @@ first, and a presentation holds when each of its equations acts
 identically on every point.  A witness for a query ``v = w`` is a model
 of the presentation plus a point where v and w act differently.
 
-This module never touches the formula machinery.  That separation is
-the point: its verdicts come from a different route entirely, so they
-can cross-check the compiled sentences.
+Each equation is checked over letter positions resolved once per search;
+the enumeration, the node rule and the first witness are the ones
+``find_witness`` describes.  This module never touches the formula
+machinery.  That separation is the point: its verdicts come from a
+different route entirely, so they can cross-check the compiled sentences.
 """
 
 from __future__ import annotations
@@ -30,13 +32,32 @@ def apply_word(word: str, point: int, tables: dict[str, tuple[int, ...]]) -> int
     return point
 
 
-def _equations_hold(equations, size: int, tables: dict[str, tuple[int, ...]]) -> bool:
-    """Whether each equation's two words act alike on every point."""
-    for eq in equations:
+def _steps(equations, letters) -> list[tuple[tuple[int, ...], ...]]:
+    """Each equation's two words as positions in ``letters``, rightmost letter first."""
+    index = {ch: i for i, ch in enumerate(letters)}
+    words = [(eq.lhs, eq.rhs) for eq in equations]
+    return [tuple(tuple(index[ch] for ch in word[::-1]) for word in pair) for pair in words]
+
+
+def _equations_hold(steps, size: int, tables: list[tuple[int, ...]]) -> bool:
+    """Whether each equation's words, as positions into ``tables``, act alike on every point."""
+    for lhs, rhs in steps:
         for x in range(size):
-            if apply_word(eq.lhs, x, tables) != apply_word(eq.rhs, x, tables):
+            y = z = x
+            for i in lhs:
+                y = tables[i][y]
+            for i in rhs:
+                z = tables[i][z]
+            if y != z:
                 return False
     return True
+
+
+def _whole(value, what: str) -> int:
+    """``value`` if it is an int and not a bool; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,10 +84,10 @@ def check_witness(presentation: Presentation, query: Equation, witness: Witness)
     letters, bad point) raise ValueError; a well-formed witness that simply
     fails a condition returns False.
     """
-    size = witness.size
+    size = _whole(witness.size, "witness size")
     if size < 1:
         raise ValueError("witness size must be positive")
-    if not 0 <= witness.point < size:
+    if not 0 <= _whole(witness.point, "witness point") < size:
         raise ValueError(f"witness point {witness.point} outside [0, {size})")
     needed = presentation.alphabet | query.letters()
     missing = sorted(needed - set(witness.tables))
@@ -79,7 +100,7 @@ def check_witness(presentation: Presentation, query: Equation, witness: Witness)
             if not 0 <= val < size:
                 raise ValueError(f"table for '{ch}' maps outside [0, {size})")
     tables, point = witness.tables, witness.point
-    return _equations_hold(presentation.equations, size, tables) and (
+    return _equations_hold(_steps(presentation.equations, tables), size, [*tables.values()]) and (
         apply_word(query.lhs, point, tables) != apply_word(query.rhs, point, tables)
     )
 
@@ -93,35 +114,34 @@ def find_witness(
     """First separating model of the given size, in enumeration order.
 
     Letters are assigned tables in alphabetical order, each table drawn
-    from the lexicographic enumeration of functions.  An equation is
-    checked as soon as its last letter receives a table, pruning the rest
-    of that subtree.  One budget unit is charged per table assignment.
+    from the lexicographic enumeration of functions.  An equation is checked,
+    over letter positions resolved once per search, as soon as its last
+    letter receives a table, pruning that subtree.  One node of budget is
+    charged per table tried, and this order decides the first witness.
     """
-    if size < 1:
+    if _whole(size, "size") < 1:
         raise ValueError("size must be positive")
     budget = budget if budget is not None else Budget()
     letters = sorted(presentation.alphabet | query.letters())
-    index = {ch: i for i, ch in enumerate(letters)}
-    ready: list[list[Equation]] = [[] for _ in letters]
-    for eq in presentation.equations:
-        ready[max(index[ch] for ch in eq.letters())].append(eq)
-    tables: dict[str, tuple[int, ...]] = {}
+    ready: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in letters]
+    for step in _steps(presentation.equations, letters):
+        ready[max(step[0] + step[1])].append(step)
+    tables: list[tuple[int, ...]] = [()] * len(letters)
 
     def assign(d: int) -> Witness | None:
         if d == len(letters):
+            named = dict(zip(letters, tables))
             for x in range(size):
-                if apply_word(query.lhs, x, tables) != apply_word(query.rhs, x, tables):
-                    return Witness(size, dict(tables), x)
+                if apply_word(query.lhs, x, named) != apply_word(query.rhs, x, named):
+                    return Witness(size, named, x)
             return None
-        ch = letters[d]
         for table in itertools.product(range(size), repeat=size):
             budget.charge()
-            tables[ch] = table
+            tables[d] = table
             if _equations_hold(ready[d], size, tables):
                 found = assign(d + 1)
                 if found is not None:
                     return found
-        del tables[ch]
         return None
 
     return assign(0)

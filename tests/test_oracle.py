@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from henkin import (
     Budget,
@@ -10,6 +13,7 @@ from henkin import (
     check_witness,
     find_witness,
 )
+from henkin.fixtures import ceitin_presentation
 
 CANON = Presentation.of([Equation("aa", "a"), Equation("bb", "b")])
 CANON_QUERY = Equation("ab", "ba")
@@ -75,6 +79,130 @@ class TestFindWitness:
         with pytest.raises(BudgetExceeded):
             find_witness(CANON, CANON_QUERY, 3, budget=Budget(2))
 
+    @pytest.mark.parametrize("size", [True, 2.0, "2"])
+    def test_size_must_be_an_int(self, size):
+        with pytest.raises(ValueError, match="size must be an integer"):
+            find_witness(CANON, CANON_QUERY, size)
+
+
+def _search(presentation, query, m):
+    """The first witness at size m and the nodes spent finding it."""
+    budget = Budget()
+    witness = find_witness(presentation, query, m, budget=budget)
+    return witness, budget.spent
+
+
+class TestEnumerationPin:
+    """The enumeration order and the node rule, pinned by node counts per
+    size and by the first witness found: letters in alphabetical order,
+    tables in lexicographic order, an equation checked when its last letter
+    gets a table, one node per table tried."""
+
+    CEITIN = ceitin_presentation()
+
+    @pytest.mark.parametrize("query", CEITIN.equations, ids=str)
+    def test_ceitin_equations_never_separate(self, query):
+        assert _search(self.CEITIN, query, 1) == (None, 5)
+        assert _search(self.CEITIN, query, 2) == (None, 428)
+
+    def test_ceitin_equation_at_size_three(self):
+        # The query is read only at the leaves, so all seven share this count.
+        assert _search(self.CEITIN, Equation("ac", "ca"), 3) == (None, 175_473)
+
+    @pytest.mark.parametrize(
+        "query, nodes, tables, point",
+        [
+            (
+                Equation("ab", "ba"),
+                [5, 65],
+                {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (0, 1), "e": (0, 0)},
+                0,
+            ),
+            (
+                Equation("ae", "ea"),
+                [5, 26],
+                {"a": (0, 0), "b": (0, 0), "c": (0, 1), "d": (0, 1), "e": (1, 1)},
+                0,
+            ),
+            (
+                Equation("ce", "ec"),
+                [5, 428, 279],
+                {
+                    "a": (0, 0, 0),
+                    "b": (0, 0, 0),
+                    "c": (0, 0, 1),
+                    "d": (0, 0, 0),
+                    "e": (0, 1, 0),
+                },
+                2,
+            ),
+        ],
+        ids=str,
+    )
+    def test_ceitin_first_witnesses(self, query, nodes, tables, point):
+        *misses, hit = nodes
+        for m, spent in enumerate(misses, start=1):
+            assert _search(self.CEITIN, query, m) == (None, spent)
+        m = len(nodes)
+        assert _search(self.CEITIN, query, m) == (Witness(m, tables, point), hit)
+
+    @pytest.mark.parametrize(
+        "equations, query, nodes",
+        [
+            ([("ab", "ba")], ("ab", "ba"), {1: 2, 2: 20, 3: 756, 4: 65_792}),
+            ([("aa", "a"), ("bb", "b")], ("ab", "ba"), {1: 2, 2: 5, 3: 15}),
+            ([("ab", "a")], ("ab", "a"), {3: 756}),
+        ],
+        ids=str,
+    )
+    def test_small_presentations(self, equations, query, nodes):
+        presentation, query = Presentation.of(equations), Equation(*query)
+        for m, spent in nodes.items():
+            assert _search(presentation, query, m)[1] == spent
+
+
+def _holds(equations, query, witness) -> bool:
+    """The definition of a witness, written out with ``apply_word``."""
+    tables, size = witness.tables, witness.size
+    return all(
+        apply_word(eq.lhs, x, tables) == apply_word(eq.rhs, x, tables)
+        for eq in equations
+        for x in range(size)
+    ) and apply_word(query.lhs, witness.point, tables) != apply_word(
+        query.rhs, witness.point, tables
+    )
+
+
+_WORDS = st.text(alphabet="abc", min_size=1, max_size=4)
+_EQUATIONS = st.builds(Equation, _WORDS, _WORDS)
+
+
+class TestDifferential:
+    @given(st.lists(_EQUATIONS, max_size=3), _EQUATIONS, st.data())
+    def test_check_witness_matches_definition(self, equations, query, data):
+        presentation = Presentation(tuple(equations))
+        size = data.draw(st.integers(1, 4))
+        cells = st.tuples(*[st.integers(0, size - 1)] * size)
+        letters = sorted(presentation.alphabet | query.letters())
+        tables = {ch: data.draw(cells) for ch in letters}
+        witness = Witness(size, tables, data.draw(st.integers(0, size - 1)))
+        assert check_witness(presentation, query, witness) is _holds(equations, query, witness)
+
+    @given(st.lists(_EQUATIONS, max_size=3), _EQUATIONS, st.integers(1, 2))
+    def test_find_witness_matches_brute_force(self, equations, query, size):
+        presentation = Presentation(tuple(equations))
+        letters = sorted(presentation.alphabet | query.letters())
+        functions = list(itertools.product(range(size), repeat=size))
+        expected = any(
+            _holds(equations, query, Witness(size, dict(zip(letters, choice)), point))
+            for choice in itertools.product(functions, repeat=len(letters))
+            for point in range(size)
+        )
+        witness = find_witness(presentation, query, size)
+        assert (witness is not None) is expected
+        if witness is not None:
+            assert _holds(equations, query, witness)
+
 
 class TestCheckWitness:
     def setup_method(self):
@@ -111,6 +239,18 @@ class TestCheckWitness:
         with pytest.raises(ValueError) as info:
             check_witness(CANON, CANON_QUERY, bad)
         assert str(info.value) == "witness size must be positive"
+
+    @pytest.mark.parametrize("size", [True, 2.0, "2"])
+    def test_size_must_be_an_int(self, size):
+        bad = Witness(size=size, tables={"a": (0, 0), "b": (1, 1)}, point=0)
+        with pytest.raises(ValueError, match="size must be an integer"):
+            check_witness(CANON, CANON_QUERY, bad)
+
+    @pytest.mark.parametrize("point", [True, 0.0, "0"])
+    def test_point_must_be_an_int(self, point):
+        bad = Witness(size=2, tables={"a": (0, 0), "b": (1, 1)}, point=point)
+        with pytest.raises(ValueError, match="point must be an integer"):
+            check_witness(CANON, CANON_QUERY, bad)
 
     def test_out_of_range_value_rejected(self):
         bad = Witness(size=2, tables={"a": (0, 3), "b": (1, 1)}, point=0)
