@@ -1,14 +1,28 @@
-"""Node budgets shared by the search engines.
+"""Node budgets shared by the search engines, and the package's integer rule.
 
 Every searcher in this package (both formula engines and the semigroup
 oracle) counts the nodes it explores against a ``Budget``.  Running out is
 an explicit third outcome, signalled by ``BudgetExceeded`` -- it must never
 be confused with a ``False`` result.
+
+``whole`` is the one check of an integer a caller hands in (budgets, sizes,
+env values, table cells): a bool, float or string is a ValueError.
 """
 
 from __future__ import annotations
 
 DEFAULT_BUDGET = 50_000_000
+
+
+def whole(value, what: str, least: int = 0, below: int | None = None) -> int:
+    """``value`` if an int, not a bool, in ``[least, below)``; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if below is not None and not least <= value < below:
+        raise ValueError(f"{what} must be an integer in [{least}, {below})")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}")
+    return value
 
 
 class BudgetExceeded(RuntimeError):
@@ -35,10 +49,7 @@ class Budget:
     __slots__ = ("limit", "remaining")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
-        if limit < 0:
-            raise ValueError("budget must be nonnegative")
-        self.limit = limit
-        self.remaining = limit
+        self.limit = self.remaining = whole(limit, "budget")
 
     def charge(self) -> None:
         self.remaining -= 1

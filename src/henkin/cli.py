@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import reducer
-from .budget import Budget, BudgetExceeded, DEFAULT_BUDGET
+from .budget import Budget, BudgetExceeded, DEFAULT_BUDGET, whole
 from .evaluator import evaluate, evaluate_naive, find_min_model, witness_tables
 from .fixtures import (
     ceitin_e10,
@@ -119,12 +119,6 @@ def _read_formula_text(args: argparse.Namespace) -> str:
     return Path(args.source).read_text(encoding="ascii")
 
 
-def _positive(value: int, what: str) -> int:
-    if value < 1:
-        raise ValueError(f"{what} must be at least 1")
-    return value
-
-
 def _load_instance(args: argparse.Namespace):
     presentation = parse_presentation(Path(args.presentation).read_text(encoding="ascii"))
     query = parse_equation(args.query)
@@ -133,7 +127,7 @@ def _load_instance(args: argparse.Namespace):
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     f = parse_formula(_read_formula_text(args))
-    _positive(args.size, "--size")
+    whole(args.size, "--size", 1)
     tables = None
     if args.naive:
         result = evaluate_naive(f, args.size, budget=Budget(args.budget))
@@ -152,7 +146,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_sat(args: argparse.Namespace) -> int:
     f = parse_formula(_read_formula_text(args))
-    _positive(args.max_size, "--max-size")
+    whole(args.max_size, "--max-size", 1)
     found = find_min_model(f, args.max_size, budget=Budget(args.budget))
     if found is None:
         print(f"none up to {args.max_size}")
@@ -171,7 +165,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     presentation, query = _load_instance(args)
-    _positive(args.max_size, "--max-size")
+    whole(args.max_size, "--max-size", 1)
     budget = Budget(args.budget)
     for m in range(1, args.max_size + 1):
         try:
@@ -188,7 +182,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     presentation, query = _load_instance(args)
-    _positive(args.max_size, "--max-size")
+    whole(args.max_size, "--max-size", 1)
     sentence = reducer.compile(presentation, query)
     mismatch = False
     for m in range(1, args.max_size + 1):

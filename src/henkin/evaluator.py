@@ -163,7 +163,7 @@ from bisect import bisect_right
 from itertools import chain
 from operator import mul
 
-from .budget import Budget, BudgetExceeded
+from .budget import Budget, BudgetExceeded, whole
 from .syntax import (
     And,
     Branch,
@@ -960,8 +960,7 @@ def _prepare(f: Formula, size: int, env, free=None) -> tuple[dict[str, int], fro
     free variable of ``f``, in that order, and return ``env``'s values by
     name and ``f``'s free names.  Given those names, ``f`` is known to be
     valid and is not walked again."""
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ValueError("domain size must be a positive integer")
+    whole(size, "domain size", 1)
     if free is None:
         problems = validate(f)
         if problems:
@@ -970,9 +969,7 @@ def _prepare(f: Formula, size: int, env, free=None) -> tuple[dict[str, int], fro
     bound: dict[str, int] = {}
     for key, val in (env or {}).items():
         name = key.name if isinstance(key, Variable) else key
-        if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < size:
-            raise ValueError(f"value for '{name}' must be an integer in [0, {size})")
-        bound[name] = val
+        bound[name] = whole(val, f"value for '{name}'", 0, size)
     missing = sorted(name for name in free if name not in bound)
     if missing:
         raise ValueError("unbound free variables: " + ", ".join(missing))
@@ -1036,13 +1033,20 @@ def table_failures(prefix: HenkinPrefix, clauses, tables, size: int, env=None) -
     each existential of ``prefix`` reads ``tables[name]``, a dict from key
     to value, as in ``witness_tables``.  A clause is checked on every tuple
     of the universals it reads, directly or through a dependency, as
-    ``evaluate_naive`` checks a matrix; ``env`` binds the names the prefix leaves free."""
+    ``evaluate_naive`` checks a matrix; ``env`` binds the names the prefix
+    leaves free.  A table a clause reads that lacks a key, or holds a value
+    that is not a ``whole`` in ``[0, size)``, is a ValueError."""
     deps = {e.name: [d.name for d in ds] for e, ds in zip(prefix.existentials, prefix.deps)}
     failures = []
     for label, clause in clauses:
         bound, _ = _prepare(Branch(prefix, clause), size, env)
         names = free_names(clause)
         exis = [(e, ds) for e, ds in deps.items() if e in names]
+        for e, ds in exis:
+            for key in _tuples(len(ds), size):
+                if key not in tables.get(e, ()):
+                    raise ValueError(f"table for '{e}' has no value at {key}")
+                whole(tables[e][key], f"table for '{e}' at {key}", 0, size)
         needed = names.union(*(ds for _, ds in exis))
         uni = [v.name for v in prefix.universals if v.name in needed]
         if not _tables_hold(uni, exis, clause, tables, bound, size, Budget()):
@@ -1057,8 +1061,7 @@ def find_min_model(f: Formula, max_size: int, budget: Budget | None = None) -> i
     its search; on exhaustion the raised ``BudgetExceeded`` records the
     size being tried.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
+    whole(max_size, "max_size", 1)
     budget = budget if budget is not None else Budget()
     for m in range(1, max_size + 1):
         try:

@@ -18,6 +18,7 @@ true on every finite domain and no infinite one.
 
 from __future__ import annotations
 
+from .budget import whole
 from .evaluator import table_failures
 from .reducer import sentence
 from .syntax import (
@@ -219,6 +220,6 @@ def identity_check_failures(
     for e, ds in zip(prefix.existentials, prefix.deps):
         if len(ds) != 1:
             raise ValueError(f"existential '{e}' does not have exactly one dependency")
-    identity = {(v,): v for v in range(size)}
+    identity = {(v,): v for v in range(whole(size, "size", 1))}
     tables = {e.name: identity for e in prefix.existentials}
     return table_failures(prefix, clauses, tables, size)

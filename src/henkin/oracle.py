@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .budget import Budget
+from .budget import Budget, whole
 from .words import Equation, Presentation
 
 __all__ = ["Witness", "apply_word", "check_witness", "find_witness"]
@@ -53,13 +53,6 @@ def _equations_hold(steps, size: int, tables: list[tuple[int, ...]]) -> bool:
     return True
 
 
-def _whole(value, what: str) -> int:
-    """``value`` if it is an int and not a bool; else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True, slots=True)
 class Witness:
     """A separating model: letter tables over {0..size-1} and a point."""
@@ -84,11 +77,8 @@ def check_witness(presentation: Presentation, query: Equation, witness: Witness)
     letters, bad point) raise ValueError; a well-formed witness that simply
     fails a condition returns False.
     """
-    size = _whole(witness.size, "witness size")
-    if size < 1:
-        raise ValueError("witness size must be positive")
-    if not 0 <= _whole(witness.point, "witness point") < size:
-        raise ValueError(f"witness point {witness.point} outside [0, {size})")
+    size = whole(witness.size, "witness size", 1)
+    whole(witness.point, "witness point", 0, size)
     needed = presentation.alphabet | query.letters()
     missing = sorted(needed - set(witness.tables))
     if missing:
@@ -96,9 +86,8 @@ def check_witness(presentation: Presentation, query: Equation, witness: Witness)
     for ch, table in witness.tables.items():
         if len(table) != size:
             raise ValueError(f"table for '{ch}' has {len(table)} cells, expected {size}")
-        for val in table:
-            if not 0 <= val < size:
-                raise ValueError(f"table for '{ch}' maps outside [0, {size})")
+        for x, val in enumerate(table):
+            whole(val, f"table for '{ch}' at {x}", 0, size)
     tables, point = witness.tables, witness.point
     return _equations_hold(_steps(presentation.equations, tables), size, [*tables.values()]) and (
         apply_word(query.lhs, point, tables) != apply_word(query.rhs, point, tables)
@@ -119,8 +108,7 @@ def find_witness(
     letter receives a table, pruning that subtree.  One node of budget is
     charged per table tried, and this order decides the first witness.
     """
-    if _whole(size, "size") < 1:
-        raise ValueError("size must be positive")
+    whole(size, "size", 1)
     budget = budget if budget is not None else Budget()
     letters = sorted(presentation.alphabet | query.letters())
     ready: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in letters]

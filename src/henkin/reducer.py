@@ -131,8 +131,11 @@ def separation_clauses(
     pair of its designated row.  ``trace:tj`` pins the step from t_j to
     t_{j-1} by the left word's letter j; likewise ``trace:sj`` for the
     right word.  ``start`` equates the start points and ``separate``,
-    last, separates the ends.
+    last, separates the ends; a query letter with no designated row is a ValueError.
     """
+    missing = sorted(query.letters() - set(designated or ()))
+    if missing:
+        raise ValueError("no designated row for query letter: " + ", ".join(missing))
     t = tuple(Variable(f"t{j}") for j in range(len(query.lhs) + 1))
     s = tuple(Variable(f"s{j}") for j in range(len(query.rhs) + 1))
     out: Clauses = []

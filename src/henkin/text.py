@@ -41,7 +41,7 @@ equation per line, with the same comment convention.  Choice tables, as
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from .syntax import (
@@ -82,19 +82,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
-    line: int
-    column: int
+_Span = namedtuple("_Span", "line column")
 
 
 class ParseError(ValueError):
-    """A syntax error with a 1-based line:column position."""
+    """A syntax error at a 1-based ``(line, column)`` pair: ``span.line``, ``span.column``."""
 
-    def __init__(self, message: str, span: SourceSpan | None = None):
+    def __init__(self, message: str, span: tuple[int, int] | None = None):
         self.span = span
         if span is not None:
-            message = f"{span.line}:{span.column}: {message}"
+            self.span = _Span(*span)
+            message = "{}:{}: {}".format(*span, message)
         super().__init__(message)
 
 
@@ -135,11 +133,11 @@ class _Parser:
         self.depth = 0
         self.names: dict[str, Variable] = {}
 
-    def span(self, k: int) -> SourceSpan:
+    def span(self, k: int) -> tuple[int, int]:
         """The line and column of token ``k``."""
         match = next(islice(_TOKEN.finditer(self.source), k, None))
         at = match.start(match.lastindex) if match.lastindex else match.end()
-        return SourceSpan(self.source.count("\n", 0, at) + 1, at - self.source.rfind("\n", 0, at))
+        return (self.source.count("\n", 0, at) + 1, at - self.source.rfind("\n", 0, at))
 
     def fail(self, message: str, k: int | None = None) -> ParseError:
         return ParseError(message, self.span(self.i if k is None else k))
@@ -362,13 +360,13 @@ def _render(f: Formula) -> tuple[str, int]:
 def _word(segment: str, lineno: int, base_col: int, side: str, anchor_col: int) -> str:
     stripped = segment.strip()
     if not stripped:
-        raise ParseError(f"empty {side} of equation", SourceSpan(lineno, anchor_col))
+        raise ParseError(f"empty {side} of equation", (lineno, anchor_col))
     offset = len(segment) - len(segment.lstrip())
     for k, ch in enumerate(stripped):
         if ch not in LETTERS:
             raise ParseError(
                 f"{side} contains {ch!r}; words use letters a-z only",
-                SourceSpan(lineno, base_col + offset + k),
+                (lineno, base_col + offset + k),
             )
     return stripped
 
@@ -377,7 +375,7 @@ def _equation_line(line: str, lineno: int) -> Equation:
     bare = line.split("#", 1)[0]
     if "=" not in bare:
         col = len(bare) - len(bare.lstrip()) + 1
-        raise ParseError("expected 'word = word'", SourceSpan(lineno, col))
+        raise ParseError("expected 'word = word'", (lineno, col))
     lhs_part, _, rhs_part = bare.partition("=")
     eq_col = len(lhs_part) + 1
     lhs = _word(lhs_part, lineno, 1, "left side", eq_col)
@@ -395,9 +393,9 @@ def parse_equation(source: str) -> Equation:
     """Parse a single ``word = word`` equation."""
     lines = _numbered_lines(source)
     if not lines:
-        raise ParseError("expected 'word = word'", SourceSpan(1, 1))
+        raise ParseError("expected 'word = word'", (1, 1))
     if len(lines) > 1:
-        raise ParseError("expected a single equation", SourceSpan(lines[1][0], 1))
+        raise ParseError("expected a single equation", (lines[1][0], 1))
     lineno, raw = lines[0]
     return _equation_line(raw, lineno)
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import os
 import re
@@ -11,6 +12,7 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import henkin
 from henkin import (
@@ -26,9 +28,10 @@ from henkin import (
     parse_formula,
     witness_tables,
 )
-from henkin.cli import _positive, _read_formula_text, main
+from henkin.budget import whole
+from henkin.cli import _read_formula_text, main
 
-from _corpus import CROSSCHECK_INSTANCES, without_separation
+from _corpus import CROSSCHECK_INSTANCES, HANDWRITTEN, without_separation
 
 CANON_TEXT = "aa = a\nbb = b\n"
 
@@ -98,7 +101,7 @@ class TestEval:
         assert main(["eval", "--expr", "true", "--size", "1", "--budget", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: budget must be nonnegative\n"
+        assert captured.err == "error: budget must be at least 0\n"
 
     def test_naive_budget_bounds_table_cells(self, capsys):
         # 10^6 cells at m=1000: the budget must stop the naive engine before
@@ -188,7 +191,7 @@ class TestEval:
     def test_usage_errors_are_plain_value_errors(self):
         # Neither has a position in any text, so neither is a ParseError.
         both = argparse.Namespace(expr="true", source="f.hf")
-        for call in (lambda: _positive(0, "--size"), lambda: _read_formula_text(both)):
+        for call in (lambda: whole(0, "--size", 1), lambda: _read_formula_text(both)):
             with pytest.raises(ValueError) as info:
                 call()
             assert type(info.value) is ValueError
@@ -447,3 +450,88 @@ def test_readme_examples_print_what_readme_says(tmp_path, monkeypatch, capsys):
             main(argv[1:])
         got.append((command, capsys.readouterr().out))
     assert got == sessions
+
+
+# Every command reads its integers through ``budget.whole``, so a budget
+# below 0 is the same usage error wherever ``--budget`` is taken.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--expr", "true", "--size", "1"],
+        ["sat", "--expr", "true", "--max-size", "1"],
+        ["oracle", "--query", "a = b", "--max-size", "1"],
+        ["crosscheck", "--query", "a = b", "--max-size", "1"],
+    ],
+    ids=["eval", "sat", "oracle", "crosscheck"],
+)
+def test_every_budget_is_checked_by_the_one_rule(capsys, canon_file, argv):
+    if argv[0] in ("oracle", "crosscheck"):
+        argv = argv + ["--presentation", canon_file]
+    assert main(argv + ["--budget", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: budget must be at least 0\n")
+
+
+# Sizes and budgets: out of range, huge, fine, and not integers at all.
+NUMBERS = ["-1", "0", "1", "2", "3", "1000000", "2.5", "x"]
+FORMULAS = [text for _, text in HANDWRITTEN]
+PRESENTATIONS = [CANON_TEXT, "ab = ba\n", "", "# none\nabc = cba\n"]
+QUERIES = ["ab = ba", "a = b", "aa = a", "ab = a"]
+FIXTURE_NAMES = ["ceitin-h12", "ceitin-e10", "ceitin-presentation", "ehrenfeucht", "infinity", "no"]
+COMMANDS = ["eval", "sat", "compile", "oracle", "crosscheck", "fixture", "frob"]
+# Symbols of both grammars, a blank, a newline and a non-ASCII letter.
+EDITS = ["", "a", "x", "=", "!", " ", "\n", "(", ")", ".", ";", "{", "}", "~", "&", "->", "\u00e9"]
+
+
+@st.composite
+def mutated(draw, texts):
+    """One of ``texts`` with up to three spans cut and replaced."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:i] + draw(st.sampled_from(EDITS)) + text[i + cut :]
+    return text
+
+
+@st.composite
+def cli_calls(draw):
+    """``(argv, formula file text, presentation file text)`` for one call."""
+    command = draw(st.sampled_from(COMMANDS))
+    number = st.sampled_from(NUMBERS)
+    formula = presentation = None
+    if command in ("eval", "sat"):
+        formula = draw(mutated(FORMULAS))
+        argv = ["--expr", formula] if draw(st.booleans()) else ["FORMULA"]
+        size = "--size" if command == "eval" else "--max-size"
+        argv += [size, draw(number), "--budget", draw(number)]
+        if command == "eval":
+            argv += draw(st.sampled_from([[], ["--naive"], ["--show-witness"]]))
+    elif command in ("compile", "oracle", "crosscheck"):
+        presentation = draw(mutated(PRESENTATIONS))
+        argv = ["--presentation", "PRESENTATION", "--query", draw(mutated(QUERIES))]
+        if command != "compile":
+            argv += ["--max-size", draw(number), "--budget", draw(number)]
+    else:
+        argv = [draw(st.sampled_from(FIXTURE_NAMES))]
+    return [command, *argv], formula, presentation
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300)
+@given(call=cli_calls())
+def test_fuzzed_calls_exit_with_a_documented_code(fuzz_dir, call):
+    # Whatever the input, main returns 0-4 and raises nothing: bad numbers,
+    # texts and commands are usage errors, big searches hit their budget.
+    argv, formula, presentation = call
+    files = {"FORMULA": formula, "PRESENTATION": presentation}
+    for name, text in files.items():
+        if text is not None:
+            (fuzz_dir / name).write_text(text, encoding="utf-8")
+    argv = [str(fuzz_dir / a) if a in files else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in range(5)

@@ -40,6 +40,7 @@ from henkin import (
     witness_tables,
 )
 from henkin import evaluator
+from henkin.budget import whole
 from henkin.evaluator import _guards
 from henkin.fixtures import ceitin_h12_clauses, ceitin_h12_prefix
 
@@ -155,9 +156,17 @@ class TestEnvironment:
         with pytest.raises(ValueError, match="must be an integer in"):
             evaluate(P("x = x"), 2, env={"x": 2})
 
+    @pytest.mark.parametrize("engine", [evaluate, evaluate_naive])
+    @pytest.mark.parametrize("value", [2.5, True, "1"])
+    def test_size_and_env_values_are_whole(self, engine, value):
+        with pytest.raises(ValueError, match=f"^domain size must be an integer, got {value!r}$"):
+            engine(P("true"), value)
+        with pytest.raises(ValueError, match=f"^value for 'x' must be an integer, got {value!r}$"):
+            engine(P("x = x"), 2, env={"x": value})
+
     @pytest.mark.parametrize("size", [0, -3])
     def test_size_must_be_positive(self, size):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="at least 1"):
             evaluate(P("true"), size)
 
     def test_invalid_formula_rejected(self):
@@ -169,6 +178,27 @@ class TestEnvironment:
 
 
 class TestBudget:
+    @pytest.mark.parametrize("limit", [2.5, "5", True, None])
+    def test_limit_must_be_an_integer(self, limit):
+        with pytest.raises(ValueError) as info:
+            Budget(limit)
+        assert str(info.value) == f"budget must be an integer, got {limit!r}"
+
+    def test_whole_has_three_messages(self):
+        assert whole(0, "n") == 0 and whole(3, "n", 1, 4) == 3
+        cases = [
+            ((1.0, "n"), "n must be an integer, got 1.0"),
+            ((False, "n"), "n must be an integer, got False"),
+            ((4, "n", 1, 4), "n must be an integer in [1, 4)"),
+            ((0, "n", 1, 4), "n must be an integer in [1, 4)"),
+            ((0, "n", 1), "n must be at least 1"),
+            ((-1, "n"), "n must be at least 0"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError) as info:
+                whole(*args)
+            assert str(info.value) == message
+
     def test_search_engine_charges(self):
         b = Budget(10)
         with pytest.raises(BudgetExceeded):
@@ -204,6 +234,12 @@ class TestFindMinModel:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             find_min_model(P("true"), 0)
+
+    @pytest.mark.parametrize("max_size", [2.5, True, "3"])
+    def test_max_size_must_be_an_integer(self, max_size):
+        with pytest.raises(ValueError) as info:
+            find_min_model(P("true"), max_size)
+        assert str(info.value) == f"max_size must be an integer, got {max_size!r}"
 
 
 class TestWitness:
@@ -390,6 +426,25 @@ class TestTableFailures:
         identity = {"y": {(0,): 0, (1,): 1}}
         assert evaluator.table_failures(prefix, clauses, identity, 2) == ["loose"]
         assert evaluator.table_failures(prefix, clauses, {"y": {(0,): 0}}, 1) == []
+
+    # Only the tables a clause reads are checked, and only after the size
+    # and the clause's free names: here ``w`` is never read.
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            ({"y": {(0,): 0, (1,): 7}}, "table for 'y' at (1,) must be an integer in [0, 2)"),
+            ({"y": {(0,): 0, (1,): 0.0}}, "table for 'y' at (1,) must be an integer, got 0.0"),
+            ({"y": {(0,): True, (1,): 1}}, "table for 'y' at (0,) must be an integer, got True"),
+            ({"y": {(0,): 0}}, "table for 'y' has no value at (1,)"),
+            ({"w": {}}, "table for 'y' has no value at (0,)"),
+        ],
+        ids=["out-of-range", "float", "bool", "missing-key", "missing-table"],
+    )
+    def test_tables_read_are_checked(self, tables, message):
+        prefix = mk_prefix(["x", "z"], ["y", "w"], {"y": ["x"], "w": ["z"]})
+        with pytest.raises(ValueError) as info:
+            evaluator.table_failures(prefix, [("c", equal("y", "x"))], tables, 2)
+        assert str(info.value) == message
 
     def test_a_name_outside_the_prefix_is_a_value_error(self):
         tables = {"y_a": {(0,): 0}}

@@ -120,6 +120,11 @@ class TestH12:
             identity_check_failures([("c", equal("y", "x"))], prefix, 2)
         assert str(info.value) == "existential 'y' does not have exactly one dependency"
 
+    @pytest.mark.parametrize("size", [2.5, True, 0])
+    def test_identity_check_size_is_whole(self, size):
+        with pytest.raises(ValueError, match="^size must be "):
+            identity_check_failures(ceitin_h12_clauses(), ceitin_h12_prefix(), size)
+
 
 class TestH12WithQuery:
     def test_shape(self):

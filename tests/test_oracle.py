@@ -84,6 +84,12 @@ class TestFindWitness:
         with pytest.raises(ValueError, match="size must be an integer"):
             find_witness(CANON, CANON_QUERY, size)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_message(self, size):
+        with pytest.raises(ValueError) as info:
+            find_witness(CANON, CANON_QUERY, size)
+        assert str(info.value) == "size must be at least 1"
+
 
 def _search(presentation, query, m):
     """The first witness at size m and the nodes spent finding it."""
@@ -238,7 +244,7 @@ class TestCheckWitness:
         bad = Witness(size=0, tables={"a": (), "b": ()}, point=0)
         with pytest.raises(ValueError) as info:
             check_witness(CANON, CANON_QUERY, bad)
-        assert str(info.value) == "witness size must be positive"
+        assert str(info.value) == "witness size must be at least 1"
 
     @pytest.mark.parametrize("size", [True, 2.0, "2"])
     def test_size_must_be_an_int(self, size):
@@ -256,6 +262,22 @@ class TestCheckWitness:
         bad = Witness(size=2, tables={"a": (0, 3), "b": (1, 1)}, point=0)
         with pytest.raises(ValueError):
             check_witness(CANON, CANON_QUERY, bad)
+
+    @pytest.mark.parametrize(
+        "cell, point, message",
+        [
+            (0.5, 0, "table for 'a' at 1 must be an integer, got 0.5"),
+            (True, 0, "table for 'a' at 1 must be an integer, got True"),
+            (3, 0, "table for 'a' at 1 must be an integer in [0, 2)"),
+            (0, 2, "witness point must be an integer in [0, 2)"),
+        ],
+        ids=["float-cell", "bool-cell", "cell-out-of-range", "point-out-of-range"],
+    )
+    def test_cells_and_point_are_whole(self, cell, point, message):
+        bad = Witness(size=2, tables={"a": (0, cell), "b": (1, 1)}, point=point)
+        with pytest.raises(ValueError) as info:
+            check_witness(CANON, CANON_QUERY, bad)
+        assert str(info.value) == message
 
 
 class TestWitnessFormat:

@@ -9,6 +9,7 @@ from henkin import (
     Implies,
     Not,
     Presentation,
+    build_hn,
     ceitin_presentation,
     compile_instance,
     evaluate,
@@ -16,7 +17,7 @@ from henkin import (
     not_equal,
     validate,
 )
-from henkin.reducer import clauses, plan_rows, separation_clauses
+from henkin.reducer import clauses, plan_rows, sentence, separation_clauses
 
 from _corpus import CROSSCHECK_INSTANCES, TINY_INSTANCES
 
@@ -194,6 +195,16 @@ class TestSeparation:
         assert isinstance(matrix, And)
         assert len(trace) == 4 + 2  # |ab| + |ba| + endpoint glue
         assert matrix.items[-6:] == tuple(f for _, f in trace)
+
+
+    def test_a_query_letter_without_its_row_is_named(self):
+        rows = designated(plan_rows(CANON, Equation("a", "a")))
+        with pytest.raises(ValueError, match="^no designated row for query letter: b$"):
+            separation_clauses(CANON_QUERY, rows)
+
+    def test_a_query_without_designated_rows_names_every_letter(self):
+        with pytest.raises(ValueError, match="^no designated row for query letter: a, b$"):
+            sentence(build_hn([("x", "y")]), [], CANON_QUERY)
 
 
 class TestCompile:
