@@ -7,11 +7,12 @@ first, and a presentation holds when each of its equations acts
 identically on every point.  A witness for a query ``v = w`` is a model
 of the presentation plus a point where v and w act differently.
 
-Each equation is checked over letter positions resolved once per search;
-the enumeration, the node rule and the first witness are the ones
-``find_witness`` describes.  This module never touches the formula
-machinery.  That separation is the point: its verdicts come from a
-different route entirely, so they can cross-check the compiled sentences.
+One walk over letter positions, resolved once per search, reads both the
+equations and the query; the enumeration, the node rule and the first
+witness are the ones ``find_witness`` describes.  This module never
+touches the formula machinery.  That separation is the point: its verdicts
+come from a different route entirely, so they can cross-check the compiled
+sentences.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ def _steps(equations, letters) -> list[tuple[tuple[int, ...], ...]]:
     return [tuple(tuple(index[ch] for ch in word[::-1]) for word in pair) for pair in words]
 
 
-def _equations_hold(steps, size: int, tables: list[tuple[int, ...]]) -> bool:
-    """Whether each equation's words, as positions into ``tables``, act alike on every point."""
+def _separation(steps, size: int, tables: list[tuple[int, ...]]) -> int | None:
+    """First point where a step's two words, as positions into ``tables``, act differently."""
     for lhs, rhs in steps:
         for x in range(size):
             y = z = x
@@ -49,8 +50,8 @@ def _equations_hold(steps, size: int, tables: list[tuple[int, ...]]) -> bool:
             for i in rhs:
                 z = tables[i][z]
             if y != z:
-                return False
-    return True
+                return x
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,9 +90,8 @@ def check_witness(presentation: Presentation, query: Equation, witness: Witness)
         for x, val in enumerate(table):
             whole(val, f"table for '{ch}' at {x}", 0, size)
     tables, point = witness.tables, witness.point
-    return _equations_hold(_steps(presentation.equations, tables), size, [*tables.values()]) and (
-        apply_word(query.lhs, point, tables) != apply_word(query.rhs, point, tables)
-    )
+    holds = _separation(_steps(presentation.equations, tables), size, [*tables.values()]) is None
+    return holds and apply_word(query.lhs, point, tables) != apply_word(query.rhs, point, tables)
 
 
 def find_witness(
@@ -103,10 +103,11 @@ def find_witness(
     """First separating model of the given size, in enumeration order.
 
     Letters are assigned tables in alphabetical order, each table drawn
-    from the lexicographic enumeration of functions.  An equation is checked,
-    over letter positions resolved once per search, as soon as its last
-    letter receives a table, pruning that subtree.  One node of budget is
-    charged per table tried, and this order decides the first witness.
+    from the lexicographic enumeration of functions.  One walk over letter
+    positions resolved once per search reads an equation as soon as its last
+    letter receives a table, pruning that subtree, and the query, for its
+    first separating point, once every letter has one.  One node of budget
+    is charged per table tried, and this order decides the first witness.
     """
     whole(size, "size", 1)
     budget = budget if budget is not None else Budget()
@@ -114,19 +115,17 @@ def find_witness(
     ready: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in letters]
     for step in _steps(presentation.equations, letters):
         ready[max(step[0] + step[1])].append(step)
+    probe = _steps([query], letters)
     tables: list[tuple[int, ...]] = [()] * len(letters)
 
     def assign(d: int) -> Witness | None:
         if d == len(letters):
-            named = dict(zip(letters, tables))
-            for x in range(size):
-                if apply_word(query.lhs, x, named) != apply_word(query.rhs, x, named):
-                    return Witness(size, named, x)
-            return None
+            x = _separation(probe, size, tables)
+            return None if x is None else Witness(size, dict(zip(letters, tables)), x)
         for table in itertools.product(range(size), repeat=size):
             budget.charge()
             tables[d] = table
-            if _equations_hold(ready[d], size, tables):
+            if _separation(ready[d], size, tables) is None:
                 found = assign(d + 1)
                 if found is not None:
                     return found

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    And,
     Branch,
     Exists,
     Formula,
@@ -154,7 +153,7 @@ def sentence(prefix: HenkinPrefix, matrix: Clauses, query=None, designated=None)
     a query, the ``separation_clauses`` for it and ``designated`` go last and
     their spine binds the whole."""
     if query is None:
-        return Branch(prefix, And(tuple(f for _, f in matrix)))
+        return Branch(prefix, conjoin(f for _, f in matrix))
     spine, trace = separation_clauses(query, designated)
     return Exists(spine, sentence(prefix, matrix + trace))
 

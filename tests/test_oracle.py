@@ -90,6 +90,16 @@ class TestFindWitness:
             find_witness(CANON, CANON_QUERY, size)
         assert str(info.value) == "size must be at least 1"
 
+    def test_search_walks_words_without_apply_word(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("find_witness called apply_word")
+
+        monkeypatch.setattr("henkin.oracle.apply_word", refuse)
+        w = find_witness(CANON, CANON_QUERY, 2)
+        assert w == Witness(size=2, tables={"a": (0, 0), "b": (1, 1)}, point=0)
+        pres = Presentation.of([Equation("ab", "ba")])
+        assert find_witness(pres, Equation("ab", "ba"), 3) is None
+
 
 def _search(presentation, query, m):
     """The first witness at size m and the nodes spent finding it."""

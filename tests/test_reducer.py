@@ -9,12 +9,16 @@ from henkin import (
     Implies,
     Not,
     Presentation,
+    TRUE,
     build_hn,
     ceitin_presentation,
     compile_instance,
+    equal,
     evaluate,
+    format_formula,
     identity_check_failures,
     not_equal,
+    parse_formula,
     validate,
 )
 from henkin.reducer import clauses, plan_rows, sentence, separation_clauses
@@ -205,6 +209,21 @@ class TestSeparation:
     def test_a_query_without_designated_rows_names_every_letter(self):
         with pytest.raises(ValueError, match="^no designated row for query letter: a, b$"):
             sentence(build_hn([("x", "y")]), [], CANON_QUERY)
+
+
+class TestSentence:
+    """Short clause lists conjoin as ``conjoin`` does: one clause is its own
+    body and no clause is ``true``, so each sentence evaluates and reparses."""
+
+    @pytest.mark.parametrize(
+        "matrix, body", [([("same", equal("y", "x"))], equal("y", "x")), ([], TRUE)]
+    )
+    def test_short_clause_lists(self, matrix, body):
+        f = sentence(build_hn([("x", "y")]), matrix)
+        assert f.body == body
+        assert validate(f) == []
+        assert evaluate(f, 2) is True
+        assert parse_formula(format_formula(f)) == f
 
 
 class TestCompile:

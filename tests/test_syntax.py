@@ -26,11 +26,15 @@ from henkin import (
     conjoin,
     equal,
     evaluate,
+    evaluate_naive,
+    find_min_model,
+    format_formula,
     free_names,
     mk_prefix,
     not_equal,
     parse_formula,
     validate,
+    witness_tables,
 )
 from henkin.syntax import prefix_diagnostics
 
@@ -182,6 +186,22 @@ class TestHelpers:
         assert conjoin([]) == TRUE
         assert conjoin([a]) == a
         assert conjoin([a, a]) == And((a, a))
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            pytest.param(call, args, id=call.__name__)
+            for calls, args in [
+                ((evaluate, evaluate_naive, witness_tables, find_min_model), (42, 2)),
+                ((format_formula, validate, free_names), (42,)),
+            ]
+            for call in calls
+        ],
+    )
+    def test_a_non_formula_is_named(self, call, args):
+        with pytest.raises(TypeError) as info:
+            call(*args)
+        assert str(info.value) == "not a formula: 42"
 
     def test_constants_are_interned_values(self):
         assert ConstTrue() == TRUE
