@@ -119,7 +119,8 @@ class _Parser:
     ``toks``, ending in at least one ``""`` for the end of input, which
     the parser never steps past.  Only an error needs a token's place:
     ``span`` finds it by lexing again.  Each name read as a variable is one
-    ``Variable`` per parse, kept in ``names``; a reserved word never is."""
+    ``Variable`` per parse, kept in ``names``; a reserved word never is.
+    Each level receives its depth as an argument; the parser stores none."""
 
     def __init__(self, source: str):
         self.source = source
@@ -130,7 +131,6 @@ class _Parser:
             raise ParseError(f"{what} character {bad[k]!r}", self.span(k))
         self.toks = toks
         self.i = 0
-        self.depth = 0
         self.names: dict[str, Variable] = {}
 
     def span(self, k: int) -> tuple[int, int]:
@@ -146,18 +146,15 @@ class _Parser:
         t = self.toks[self.i]
         return f"'{t}'" if t else "end of input"
 
-    def open(self, left: Formula | None = None, start: int = 0) -> None:
-        """Open one nesting level at the current token and step past it;
-        the caller closes it.  ``left``, parsed from token ``start`` on,
-        is an operand before the token that the level encloses too.  Its
-        depth is at most its token count, so it is walked only near the
-        limit."""
-        depth = self.depth + 1
+    def open(self, depth: int, left: Formula | None = None, start: int = 0) -> None:
+        """Check the level at ``depth`` that the current token opens, and
+        step past the token.  ``left``, parsed from token ``start`` on, is
+        an earlier operand that the level encloses too; its depth is at
+        most its token count, so it is walked only near the limit."""
         if left is not None and depth + self.i - start > MAX_DEPTH:
             depth += formula_depth(left)
         if depth > MAX_DEPTH:
             raise self.fail(TOO_DEEP)
-        self.depth += 1
         self.i += 1
 
     def expect(self, t: str) -> None:
@@ -194,51 +191,48 @@ class _Parser:
             raise self.fail(f"'{what}' needs at least one variable, found {self.found()}")
         return tuple(out.values())
 
-    def binary(self, floor: int = 0) -> Formula:
-        """A formula of the connectives from level ``floor`` of ``_BINARY``
-        on, by precedence climbing: the arrows nest to the right, ``|``
-        and ``&`` take any number of operands, and the operands of ``&``
-        are unary formulas."""
+    def binary(self, depth: int, floor: int = 0) -> Formula:
+        """A formula ``depth`` levels deep, of the connectives from level
+        ``floor`` of ``_BINARY`` on, by precedence climbing: the arrows nest
+        to the right, ``|`` and ``&`` take any number of operands, and the
+        operands of ``&`` are unary formulas."""
         toks = self.toks
         start = self.i
-        left = self.unary()
+        left = self.unary(depth)
         while True:
             op = toks[self.i]
             level, node = _BINARY.get(op, (-1, None))
             if level < floor:
                 return left
-            self.open(left, start)
+            self.open(depth + 1, left, start)
             if level < 2:
-                left = node(left, self.binary(level))
-            else:
-                items = [left, self.unary() if level == 3 else self.binary(3)]
-                while toks[self.i] == op:
-                    self.i += 1
-                    items.append(self.unary() if level == 3 else self.binary(3))
-                left = node(tuple(items))
-            self.depth -= 1
+                left = node(left, self.binary(depth + 1, level))
+                continue
+            items = [left]
+            while True:
+                items.append(self.unary(depth + 1) if level == 3 else self.binary(depth + 1, 3))
+                if toks[self.i] != op:
+                    break
+                self.i += 1
+            left = node(tuple(items))
 
-    def unary(self) -> Formula:
+    def unary(self, depth: int) -> Formula:
         t = self.toks[self.i]
         if t == "~":
-            self.open()
-            body = self.unary()
-            self.depth -= 1
-            return Not(body)
+            self.open(depth + 1)
+            return Not(self.unary(depth + 1))
         if t == "forall" or t == "exists":
-            self.open()
+            self.open(depth + 1)
             vs = self.binder_list(t)
             self.expect(".")
-            body = self.binary()
-            self.depth -= 1
-            return ForAll(vs, body) if t == "forall" else Exists(vs, body)
+            return (ForAll if t == "forall" else Exists)(vs, self.binary(depth + 1))
         if t == "H" and self.toks[self.i + 1] == "{":
-            return self.branch()
-        return self.atom()
+            return self.branch(depth)
+        return self.atom(depth)
 
-    def branch(self) -> Formula:
+    def branch(self, depth: int) -> Formula:
         opener = self.i  # the 'H'
-        self.open()
+        self.open(depth + 1)
         self.expect("{")
         if self.toks[self.i] != "forall":
             raise self.fail(f"branched prefix must start with 'forall', found {self.found()}")
@@ -264,17 +258,14 @@ class _Parser:
         if problems:
             raise self.fail("bad branched prefix: " + problems, opener)
         self.expect(".")
-        body = self.binary()
-        self.depth -= 1
-        return Branch(prefix, body)
+        return Branch(prefix, self.binary(depth + 1))
 
-    def atom(self) -> Formula:
+    def atom(self, depth: int) -> Formula:
         t = self.toks[self.i]
         if t == "(":
-            self.open()
-            f = self.binary()
+            self.open(depth + 1)
+            f = self.binary(depth + 1)
             self.expect(")")
-            self.depth -= 1
             return f
         if t == "true" or t == "false":
             self.i += 1
@@ -287,15 +278,14 @@ class _Parser:
             self.i += 1
             return EqualAtom(left, self.variable())
         if op == "!=":
-            self.open()
-            self.depth -= 1
+            self.open(depth + 1)
             return Not(EqualAtom(left, self.variable()))
         raise self.fail(f"expected '=' or '!=' after '{left.name}', found {self.found()}")
 
 
 def parse_formula(source: str) -> Formula:
     parser = _Parser(source)
-    f = parser.binary()
+    f = parser.binary(0)
     if parser.toks[parser.i]:
         raise parser.fail(f"unexpected input after formula: {parser.found()}")
     return f

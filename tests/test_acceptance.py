@@ -28,6 +28,7 @@ from henkin import (
     ehrenfeucht_finiteness,
     evaluate,
     evaluate_naive,
+    find_min_model,
     find_witness,
     format_formula,
     identity_check_failures,
@@ -254,6 +255,24 @@ def test_single_quantifier_route():
                 if m <= 3:
                     witness = find_witness(presentation, query, m)
                     assert (witness is not None) is expected, (lhs, rhs, m)
+
+
+# {a^n = a} |- aa = a: in a separating model a permutes its image with an
+# order that divides n-1, so the first separating size is the least prime
+# factor of n-1.  For n=12 that is 11, where the oracle would try 11^11
+# tables; the compiled sentence decides it, and the oracle checks m <= 4.
+KNOWN_ANSWERS = [(3, 2), (4, 3), (5, 2), (7, 2), (10, 3), (12, 11)]
+
+
+def test_known_answer_family():
+    with criterion("known-answer-family"):
+        query = Equation("aa", "a")
+        for n, first in KNOWN_ANSWERS:
+            presentation = Presentation.of([Equation("a" * n, "a")])
+            assert find_min_model(compile_instance(presentation, query), first) == first, n
+            for m in range(1, 5):
+                witness = find_witness(presentation, query, m)
+                assert (witness is not None) is (m >= first), (n, m)
 
 
 _WORDS = st.text(alphabet="abc", min_size=1, max_size=3)
