@@ -21,10 +21,11 @@ letter first, so row j feeds row j-1: the chain constraints equate each
 row's universal with the next row's existential.
 
 The matrix is one flat conjunction of labeled clauses, in this order:
-``same-letter:c:X,Y`` for each pair of rows X, Y (named by their
-universals) carrying letter c, ``equation:i`` for equation i (from 1),
-``trace:tj`` and ``trace:sj`` for the step from t_j to t_{j-1} (s_j to
-s_{j-1}), ``start``, and last ``separate``, the disequation t0 != s0.
+``same-letter:c:X,Y`` for each row Y after the first to carry letter c,
+with X the previous row carrying c (both named by their universals),
+``equation:i`` for equation i (from 1), ``trace:tj`` and ``trace:sj``
+for the step from t_j to t_{j-1} (s_j to s_{j-1}), ``start``, and last
+``separate``, the disequation t0 != s0.
 ``sentence`` is the one place a labeled clause list becomes a sentence,
 for ``compile`` and for every Ceitin fixture.
 """
@@ -99,18 +100,19 @@ def plan_rows(presentation: Presentation, query: Equation) -> RowPlan:
 def clauses(plan: RowPlan) -> Clauses:
     """The ``same-letter`` clauses, then one ``equation`` clause per equation.
 
-    Same-letter: one implication per unordered pair of rows carrying one
-    letter, in row order; equal inputs force equal outputs, so the rows
-    compute one function.  Equation i: given the chain links of both
-    words, equal start points force equal end points.
+    Same-letter: one implication per row after its letter's first, in row
+    order, from the previous row carrying that letter; equal inputs force
+    equal outputs, and equality is transitive, so a letter's rows compute
+    one function.  Equation i: given the chain links of both words, equal
+    start points force equal end points.
     """
-    rows = plan.rows
     out: Clauses = []
-    for a, r in enumerate(rows):
-        for q in rows[a + 1 :]:
-            if r.letter == q.letter:
-                agree = Implies(equal(r.universal, q.universal), equal(r.existential, q.existential))
-                out.append((f"same-letter:{r.letter}:{r.universal.name},{q.universal.name}", agree))
+    previous: dict[str, PlanRow] = {}
+    for q in plan.rows:
+        if (r := previous.get(q.letter)) is not None:
+            agree = Implies(equal(r.universal, q.universal), equal(r.existential, q.existential))
+            out.append((f"same-letter:{r.letter}:{r.universal.name},{q.universal.name}", agree))
+        previous[q.letter] = q
     for i, (lhs, rhs) in enumerate(plan.equations, start=1):
         chain = [equal(a.universal, b.existential) for w in (lhs, rhs) for a, b in zip(w, w[1:])]
         inner = Implies(

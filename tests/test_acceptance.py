@@ -90,7 +90,7 @@ def test_fixture_prefix_sizes():
         assert len(plan.rows) == 8
         assert len(plan_rows(Presentation.of([]), Equation("a", "a")).rows) == 1
         labels = [label for label, _ in clauses(plan)]
-        assert sum(label.startswith("same-letter:") for label in labels) == 12
+        assert sum(label.startswith("same-letter:") for label in labels) == 6
 
 
 def test_finiteness_sentence():

@@ -606,13 +606,13 @@ class TestGroundedSearch:
         assert spent < 100_000
 
     def test_crosscheck_node_counts(self):
-        # Exact counts per instance at m = 4 and 5 (5,244 and 7,749 in
+        # Exact counts per instance at m = 4 and 5 (5,156 and 7,639 in
         # all).  The order of the conjuncts alone moves them 50-fold, so a
         # change to the grounding, the merging, the walks, the cell order or
         # the cell bound shows here and must update them.
         expected = {
-            4: [249, 37, 1_401, 22, 69, 157, 214, 1_320, 156, 1_401, 105, 113],
-            5: [292, 39, 2_378, 26, 77, 169, 239, 1_717, 180, 2_378, 122, 132],
+            4: [225, 37, 1_393, 22, 69, 145, 210, 1_316, 152, 1_393, 93, 101],
+            5: [262, 39, 2_368, 26, 77, 154, 234, 1_712, 175, 2_368, 107, 117],
         }
         for m, counts in expected.items():
             spent = []

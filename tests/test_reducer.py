@@ -1,8 +1,12 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from henkin import (
     And,
     Branch,
+    Budget,
     Equation,
     Exists,
     EqualAtom,
@@ -20,6 +24,7 @@ from henkin import (
     not_equal,
     parse_formula,
     validate,
+    witness_tables,
 )
 from henkin.reducer import clauses, plan_rows, sentence, separation_clauses
 
@@ -110,7 +115,7 @@ class TestPlan:
 
 class TestSameLetter:
     def test_pair_count_for_canonical_instance(self):
-        assert len(labeled(plan_rows(CANON, CANON_QUERY), "same-letter")) == 12
+        assert len(labeled(plan_rows(CANON, CANON_QUERY), "same-letter")) == 6
 
     def test_single_row_has_no_pairs(self):
         plan = plan_rows(Presentation.of([]), Equation("a", "b"))
@@ -118,13 +123,26 @@ class TestSameLetter:
 
     def test_pairs_within_one_letter(self):
         plan = plan_rows(Presentation.of([Equation("aa", "a")]), Equation("a", "a"))
-        pairs = labeled(plan, "same-letter")
-        # four rows share letter a: C(4,2) = 6 implications
-        assert len(pairs) == 6
-        first = pairs[0]
+        links = labeled(plan, "same-letter")
+        # four rows share letter a: one link per row after the first
+        assert len(links) == 3
+        first = links[0]
         assert isinstance(first, Implies)
         assert isinstance(first.antecedent, EqualAtom)
         assert isinstance(first.consequent, EqualAtom)
+        for plan in (plan, plan_rows(CEITIN, Equation("ab", "ba"))):
+            rows = plan.rows
+            place = {r.universal: i for i, r in enumerate(rows)}
+            ends = []
+            for f in labeled(plan, "same-letter"):
+                i, j = place[f.antecedent.left], place[f.antecedent.right]
+                assert f.consequent == equal(rows[i].existential, rows[j].existential)
+                # rows[i] is the last row before rows[j] that carries its letter
+                between = [r.letter for r in rows[i + 1 : j]]
+                assert i < j and rows[i].letter == rows[j].letter not in between
+                ends.append(j)
+            repeats = [j for j, r in enumerate(rows) if r.letter in {q.letter for q in rows[:j]}]
+            assert ends == repeats
 
     def test_label_names_letter_and_both_rows(self):
         plan = plan_rows(Presentation.of([Equation("aa", "a")]), Equation("a", "a"))
@@ -240,8 +258,8 @@ class TestCompile:
             assert d[0] == u
         matrix = br.body
         assert isinstance(matrix, And)
-        # 12 pairings, two equations, 4 trace steps, start, separate
-        assert len(matrix.items) == 12 + 2 + 4 + 2
+        # 6 same-letter links, two equations, 4 trace steps, start, separate
+        assert len(matrix.items) == 6 + 2 + 4 + 2
 
     def test_shape_degenerate(self):
         f = compile_instance(Presentation.of([]), Equation("a", "a"))
@@ -320,3 +338,83 @@ class TestSoundnessSpot:
         f = compile_instance(Presentation.of([]), Equation("ab", "ba"))
         assert evaluate(f, 1) is False
         assert evaluate(f, 2) is True
+
+
+def all_pairs(presentation: Presentation, query: Equation):
+    """The reference sentence with one ``same-letter`` clause per unordered
+    pair of rows carrying one letter, in row order, in place of the chain's
+    links; and the number of those pairs."""
+    plan = plan_rows(presentation, query)
+    rows = plan.rows
+    pairs = [
+        (
+            f"same-letter:{r.letter}:{r.universal.name},{q.universal.name}",
+            Implies(equal(r.universal, q.universal), equal(r.existential, q.existential)),
+        )
+        for a, r in enumerate(rows)
+        for q in rows[a + 1 :]
+        if r.letter == q.letter
+    ]
+    rest = [c for c in clauses(plan) if not c[0].startswith("same-letter:")]
+    prefix = build_hn((r.universal, r.existential) for r in rows)
+    return sentence(prefix, pairs + rest, query, designated(plan)), len(pairs)
+
+
+def assert_chain_matches_all_pairs(presentation: Presentation, query: Equation, m: int):
+    """The chained compile and the all-pairs reference unite the same cells,
+    so they give one verdict and one set of tables, and the chain spends
+    m nodes less per pair it does not link (one per merge tuple)."""
+    reference, pairs = all_pairs(presentation, query)
+    links = len(labeled(plan_rows(presentation, query), "same-letter"))
+    chained = compile_instance(presentation, query)
+    old, new = Budget(), Budget()
+    verdict = evaluate(reference, m, budget=old)
+    assert evaluate(chained, m, budget=new) is verdict
+    assert old.spent - new.spent == m * (pairs - links)
+    assert witness_tables(chained, m) == witness_tables(reference, m)
+
+
+_WORDS = st.text(alphabet="abc", min_size=1, max_size=3)
+_EQUATIONS = st.builds(Equation, _WORDS, _WORDS)
+
+
+class TestChainAgainstAllPairs:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("equations, query, _", CROSSCHECK_INSTANCES)
+    def test_crosscheck_instances(self, equations, query, _, m):
+        assert_chain_matches_all_pairs(Presentation.of(equations), Equation(*query), m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("query", ["ab", "ac", "ce", "de"])
+    def test_ceitin_commutations(self, query, m):
+        assert_chain_matches_all_pairs(ceitin_presentation(), Equation(query, query[::-1]), m)
+
+    @given(st.lists(_EQUATIONS, max_size=3), _EQUATIONS, st.integers(1, 3))
+    def test_random_presentations(self, equations, query, m):
+        assert_chain_matches_all_pairs(Presentation(tuple(equations)), query, m)
+
+
+def chain_length(plan) -> int:
+    """Rows minus distinct letters: one link per row after its letter's first."""
+    return len(plan.rows) - len({r.letter for r in plan.rows})
+
+
+class TestLinearClauses:
+    @given(st.lists(_EQUATIONS, max_size=4), _EQUATIONS)
+    def test_one_link_per_repeated_row(self, equations, query):
+        plan = plan_rows(Presentation(tuple(equations)), query)
+        assert len(labeled(plan, "same-letter")) == chain_length(plan)
+
+    def test_large_presentation(self):
+        # 31 equations of 5 + 3 letters, one of 3 + 2, and three designated
+        # rows: 256 rows, which all pairs would tie with 10,844 clauses.
+        rng = random.Random(5)
+        lengths = [(5, 3)] * 31 + [(3, 2)]
+        equations = [Equation(*("".join(rng.choices("abc", k=n)) for n in pair)) for pair in lengths]
+        presentation, query = Presentation.of(equations), Equation("ab", "ca")
+        plan = plan_rows(presentation, query)
+        assert len(plan.rows) == 256
+        links = labeled(plan, "same-letter")
+        assert len(links) == chain_length(plan) == 253
+        matrix = compile_instance(presentation, query).body.body
+        assert len(matrix.items) == len(links) + len(equations) + len(query.lhs) + len(query.rhs) + 2
